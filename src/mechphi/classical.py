@@ -23,7 +23,12 @@ from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .partitions import DisintegratingPartition, enumerate_disintegrating, normalization
+from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
+    DisintegratingPartition,
+    enumerate_disintegrating,
+    normalization,
+    partition_shape,
+)
 from .tensor import DEFAULT_TOL
 
 Direction = Literal["cause", "effect"]
@@ -106,7 +111,7 @@ class ClassicalSystem:
         self.num_states = int(np.prod(self.unit_state_counts, dtype=np.int64))
         self.tol = float(tol)
 
-        tpm = np.asarray(tpm, dtype=float)
+        tpm = np.array(tpm, dtype=float)  # a private copy: frozen below
         if tpm.shape != (self.num_states, self.num_states):
             raise ValidationError(
                 f"tpm shape {tpm.shape} does not match state space "
@@ -391,31 +396,38 @@ def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
 # -- partitioned repertoires and phi --------------------------------------
 
 
+def _part_repertoire(sys: ClassicalSystem, mechanism: Mechanism, m_part: tuple[int, ...],
+                     z_part: tuple[int, ...], direction: Direction) -> Optional[np.ndarray]:
+    """Repertoire of one partition part over a nonempty ``z_part``, or None if empty.
+
+    A part with an empty mechanism gets the fully marginalized effect
+    repertoire (effect side) or the uniform distribution (cause side).
+    """
+    sub = mechanism.restrict(m_part)
+    if direction == _EFFECT:
+        return effect_repertoire(sys, sub, z_part).probabilities
+    if not m_part:
+        return unconstrained_cause(sys, z_part).probabilities
+    rep = cause_repertoire(sys, sub, z_part)
+    return None if rep is None else rep.probabilities
+
+
 def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
                            purview: Iterable[int], theta: DisintegratingPartition,
                            direction: Direction) -> Optional[ClassicalRepertoire]:
     """Product over the partition's parts of their independent repertoires.
 
-    A part with an empty purview contributes a scalar 1.  A part with an
-    empty mechanism contributes the fully marginalized effect repertoire
-    (effect side) or the uniform distribution (cause side).  Returns None if
-    a part's cause repertoire is empty.
+    A part with an empty purview contributes a scalar 1.  Returns None if a
+    part's cause repertoire is empty.
     """
     purview = sys._check_units(purview, "purview")
     factors: list[tuple[tuple[int, ...], np.ndarray]] = []
     for m_part, z_part in theta.parts:
         if not z_part:
             continue
-        sub = mechanism.restrict(m_part)
-        if direction == _EFFECT:
-            dist = effect_repertoire(sys, sub, z_part).probabilities
-        elif not m_part:
-            dist = unconstrained_cause(sys, z_part).probabilities
-        else:
-            rep = cause_repertoire(sys, sub, z_part)
-            if rep is None:
-                return None
-            dist = rep.probabilities
+        dist = _part_repertoire(sys, mechanism, m_part, z_part, direction)
+        if dist is None:
+            return None
         factors.append((z_part, dist))
 
     z_states = sys.subset_states(purview)
@@ -467,22 +479,52 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     The returned value is the unnormalized phi at the minimizing partition.
     Ties in the normalized score go to the smaller unnormalized phi, then to
     the earlier partition in canonical enumeration order.
+
+    Every partition is scored at once.  Each distinct part's repertoire is
+    read at the intrinsic states into one row of a factor table; a
+    partition's q is the product of its parts' rows, taken in part order, so
+    it equals ``partitioned_repertoire`` bit for bit, and each value equals
+    ``phi`` at the same states.
     """
     purview = sys._check_units(purview, "purview")
-    thetas = enumerate_disintegrating(mechanism.units, purview)
+    m_units = tuple(sorted(mechanism.units))
+    shape = partition_shape(len(m_units), len(purview))
+    parts = shape.relabel(m_units, purview)
     _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
     if states is None:
-        return thetas[0], 0.0
-    best_key = None
-    best: tuple[DisintegratingPartition, float] = (thetas[0], math.inf)
-    for idx, theta in enumerate(thetas):
-        value = phi(sys, mechanism, purview, theta, direction, states, tie_tol)
-        norm = normalization(theta, mechanism.units, purview)
-        key = (value / norm, value, idx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (theta, value)
-    return best
+        return shape.partition(0, parts), 0.0
+    p = _repertoire(sys, mechanism, purview, direction).probabilities
+    live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
+    counts = np.array([sys.unit_state_counts[u] for u in purview])
+    digits = np.array(np.unravel_index(live, counts)).reshape(len(purview), len(live))
+
+    # Parts without a purview and the padding slot past the last part keep 1.0.
+    factors = np.ones((len(parts) + 1, len(live)))
+    missing = np.zeros(len(parts) + 1, dtype=bool)
+    for j, (m_part, z_part) in enumerate(parts):
+        if not z_part:
+            continue
+        dist = _part_repertoire(sys, mechanism, m_part, z_part, direction)
+        if dist is None:
+            missing[j] = True
+            continue
+        on = shape.part_z[j]
+        factors[j] = dist[np.ravel_multi_index(digits[on], counts[on])]
+
+    q = factors[shape.slots[:, 0]]
+    for column in shape.slots.T[1:]:
+        q = q * factors[column]
+    supported = q > sys.tol
+    ratio = np.divide(p[live], q, out=np.ones_like(q), where=supported)
+    # math.log2 rather than np.log2: numpy's SIMD log2 can differ from libm in
+    # the last bit, and ``phi`` scores single partitions with math.log2.
+    logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), float, ratio.size)
+    scores = np.where(supported, p[live] * logs.reshape(ratio.shape), math.inf)
+    values = scores.max(axis=1, initial=0.0)
+    values[missing[shape.slots].any(axis=1)] = math.inf
+    # lexsort is stable: equal (value / norm, value) keys keep enumeration order.
+    best = int(np.lexsort((values, values / shape.norms))[0])
+    return shape.partition(best, parts), float(values[best])
 
 
 def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,

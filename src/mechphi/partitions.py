@@ -14,8 +14,11 @@ Two families live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -136,25 +139,40 @@ def normalization(theta: DisintegratingPartition, mechanism: Iterable[int],
     return len(m_all) * len(z_all) - intact
 
 
-def enumerate_disintegrating(mechanism: Iterable[int],
-                             purview: Iterable[int]) -> list[DisintegratingPartition]:
-    """Every disintegrating partition of (mechanism, purview), each once.
+class PartitionShape(NamedTuple):
+    """Every disintegrating partition of one (|M|, |Z|) shape, over unit positions.
 
-    Construction: pick a set partition of the mechanism; attach each purview
-    unit to one mechanism block or leave it unattached; group unattached
-    purview units into parts with an empty mechanism side.  A single-block
-    mechanism (the whole of it) may not keep any purview, so for |M| = 1 the
-    enumeration reduces to partitions that sever the mechanism from the
-    entire purview.
+    Parts are (mechanism positions, purview positions) pairs; each distinct
+    part is stored once.  Row ``i`` of ``slots`` lists the parts of the
+    ``i``-th partition in canonical enumeration order, in canonical part
+    order, padded at the end with ``len(part_m)``.  All arrays are read-only.
     """
-    m_all = _canon_units(mechanism)
-    z_all = _canon_units(purview)
-    if not m_all:
-        raise ValidationError("mechanism must be nonempty")
-    if not z_all:
-        raise ValidationError("purview must be nonempty")
 
-    out: list[DisintegratingPartition] = []
+    part_m: np.ndarray  # (parts, |M|) bool: mechanism positions of each part
+    part_z: np.ndarray  # (parts, |Z|) bool: purview positions of each part
+    slots: np.ndarray  # (partitions, max k) part indices, padded with len(part_m)
+    norms: np.ndarray  # (partitions,) severed-pair normalization
+
+    def relabel(self, mechanism: Units, purview: Units) -> list[tuple[Units, Units]]:
+        """Each distinct part over ascending ``mechanism`` and ``purview`` labels."""
+        return [
+            (tuple(u for u, b in zip(mechanism, mb) if b),
+             tuple(u for u, b in zip(purview, zb) if b))
+            for mb, zb in zip(self.part_m.tolist(), self.part_z.tolist())
+        ]
+
+    def partition(self, index: int, parts: list[tuple[Units, Units]]
+                  ) -> DisintegratingPartition:
+        """Partition ``index`` built from the relabeled ``parts``."""
+        return _assemble(self.slots[index].tolist(), parts)
+
+
+def _assemble(row: list[int], parts: list[tuple[Units, Units]]) -> DisintegratingPartition:
+    return DisintegratingPartition(tuple(parts[j] for j in row if j < len(parts)))
+
+
+def _enumerate(m_all: Units, z_all: Units) -> Iterator[DisintegratingPartition]:
+    """Every disintegrating partition, unsorted; canonical order sorts by (k, parts)."""
     for mech_partition in enumerate_set_partitions(m_all):
         blocks = mech_partition.blocks
         p = len(blocks)
@@ -164,7 +182,7 @@ def enumerate_disintegrating(mechanism: Iterable[int],
             for zpart in enumerate_set_partitions(z_all):
                 parts = [(blocks[0], ())]
                 parts.extend(((), zb) for zb in zpart.blocks)
-                out.append(DisintegratingPartition.from_parts(parts))
+                yield DisintegratingPartition.from_parts(parts)
             continue
         for assignment in product(range(p + 1), repeat=len(z_all)):
             attached: list[list[int]] = [[] for _ in range(p)]
@@ -178,8 +196,63 @@ def enumerate_disintegrating(mechanism: Iterable[int],
             if leftover:
                 for lpart in enumerate_set_partitions(leftover):
                     parts = base + [((), zb) for zb in lpart.blocks]
-                    out.append(DisintegratingPartition.from_parts(parts))
+                    yield DisintegratingPartition.from_parts(parts)
             else:
-                out.append(DisintegratingPartition.from_parts(base))
-    out.sort(key=lambda th: (th.k, th.parts))
-    return out
+                yield DisintegratingPartition.from_parts(base)
+
+
+def _readonly(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
+def partition_shape(m_size: int, z_size: int) -> PartitionShape:
+    """The disintegrating partitions of an |M| = m_size, |Z| = z_size pair, cached.
+
+    The enumeration runs once per shape, over positions 0..m_size-1 and
+    0..z_size-1.  Position order is unit order for any ascending labels, so
+    relabeling keeps both the canonical partition order and the part order.
+    """
+    if m_size < 1:
+        raise ValidationError("mechanism must be nonempty")
+    if z_size < 1:
+        raise ValidationError("purview must be nonempty")
+    m_all, z_all = tuple(range(m_size)), tuple(range(z_size))
+    # One shared object per distinct part keeps the sort keys small.
+    interned: dict[tuple[Units, Units], tuple[Units, Units]] = {}
+    entries = []
+    for theta in _enumerate(m_all, z_all):
+        parts = tuple(interned.setdefault(part, part) for part in theta.parts)
+        entries.append((len(parts), parts, normalization(theta, m_all, z_all)))
+    entries.sort()  # canonical (k, parts) order; partitions are distinct
+    table = sorted(interned)
+    index = {part: j for j, part in enumerate(table)}
+    pad, width = len(table), entries[-1][0]
+    return PartitionShape(
+        part_m=_readonly([[i in m for i in m_all] for m, _ in table], bool),
+        part_z=_readonly([[i in z for i in z_all] for _, z in table], bool),
+        slots=_readonly([[index[part] for part in parts] + [pad] * (width - k)
+                         for k, parts, _ in entries], np.min_scalar_type(pad)),
+        norms=_readonly([norm for _, _, norm in entries], np.min_scalar_type(m_size * z_size)),
+    )
+
+
+def enumerate_disintegrating(mechanism: Iterable[int],
+                             purview: Iterable[int]) -> list[DisintegratingPartition]:
+    """Every disintegrating partition of (mechanism, purview), each once.
+
+    Construction: pick a set partition of the mechanism; attach each purview
+    unit to one mechanism block or leave it unattached; group unattached
+    purview units into parts with an empty mechanism side.  A single-block
+    mechanism (the whole of it) may not keep any purview, so for |M| = 1 the
+    enumeration reduces to partitions that sever the mechanism from the
+    entire purview.  The partitions of each (|M|, |Z|) shape are enumerated
+    once (``partition_shape``) and relabeled here.
+    """
+    m_all = _canon_units(mechanism)
+    z_all = _canon_units(purview)
+    shape = partition_shape(len(m_all), len(z_all))
+    parts = shape.relabel(m_all, z_all)
+    return [_assemble(row, parts) for row in shape.slots.tolist()]

@@ -318,3 +318,12 @@ class TestSystemValidation:
         assert all(2 not in d.mechanism_units and 2 not in d.purview for d in ds)
         with pytest.raises(ValidationError, match="background"):
             unfold(sys, state_t=(1, 0, 1), state_t1=(1, 1, 1))
+
+    def test_caller_tpm_is_not_frozen_or_changed(self):
+        tpm = COPY_XOR_TPM.copy()
+        sys = ClassicalSystem([2, 2], tpm)
+        assert tpm.flags.writeable
+        np.testing.assert_array_equal(tpm, COPY_XOR_TPM)
+        tpm[0, 0] = 0.5
+        assert sys.tpm[0, 0] == 1.0
+        assert not sys.tpm.flags.writeable

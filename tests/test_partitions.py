@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from mechphi.errors import ValidationError
 from mechphi.partitions import (
     DisintegratingPartition,
     SetPartition,
+    _enumerate,
     enumerate_disintegrating,
     enumerate_set_partitions,
     normalization,
+    partition_shape,
 )
 
 BELL_NUMBERS = {1: 1, 2: 2, 3: 5, 4: 15}
@@ -139,3 +142,67 @@ class TestNormalization:
             assert n >= 1
             severs_all = all(not (mp and zp) for mp, zp in theta.parts)
             assert (n == full) == severs_all
+
+
+SHAPES = [(m, z) for m in range(1, 5) for z in range(1, 5)]
+
+
+def literal_enumeration(mechanism, purview):
+    return sorted(_enumerate(mechanism, purview), key=lambda th: (th.k, th.parts))
+
+
+def label_sets(m_size, z_size):
+    """Contiguous, non-contiguous and overlapping (mechanism, purview) labels."""
+    return [
+        (tuple(range(m_size)), tuple(range(10, 10 + z_size))),
+        (tuple(range(1, 2 * m_size, 2)), tuple(range(0, 3 * z_size, 3))),
+        (tuple(range(m_size)), tuple(range(z_size))),
+        (tuple(range(8 - m_size, 8)), tuple(range(5, 5 + z_size))),
+    ]
+
+
+class TestPartitionShape:
+    @pytest.mark.parametrize("m_size,z_size", SHAPES)
+    def test_relabel_equals_literal_enumeration(self, m_size, z_size):
+        for mechanism, purview in label_sets(m_size, z_size):
+            assert (enumerate_disintegrating(mechanism, purview)
+                    == literal_enumeration(mechanism, purview)), (mechanism, purview)
+
+    @pytest.mark.parametrize("m_size,z_size", SHAPES)
+    def test_norms_match_normalization(self, m_size, z_size):
+        shape = partition_shape(m_size, z_size)
+        for mechanism, purview in label_sets(m_size, z_size):
+            thetas = enumerate_disintegrating(mechanism, purview)
+            assert shape.norms.tolist() == [
+                normalization(theta, mechanism, purview) for theta in thetas
+            ]
+
+    @pytest.mark.parametrize("m_size,z_size", SHAPES)
+    def test_slots_index_distinct_parts_in_part_order(self, m_size, z_size):
+        shape = partition_shape(m_size, z_size)
+        mechanism, purview = tuple(range(m_size)), tuple(range(10, 10 + z_size))
+        parts = shape.relabel(mechanism, purview)
+        assert len(set(parts)) == len(parts)
+        thetas = enumerate_disintegrating(mechanism, purview)
+        for i, theta in enumerate(thetas):
+            row = shape.slots[i].tolist()
+            assert [parts[j] for j in row[:theta.k]] == list(theta.parts)
+            assert all(j == len(parts) for j in row[theta.k:])
+            assert shape.partition(i, parts) == theta
+
+    def test_arrays_are_read_only_and_shared(self):
+        shape = partition_shape(3, 2)
+        before = enumerate_disintegrating((0, 1, 2), (3, 4))
+        for arr in shape:
+            assert isinstance(arr, np.ndarray)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[-1]
+        assert partition_shape(3, 2) is shape
+        assert enumerate_disintegrating((0, 1, 2), (3, 4)) == before
+
+    def test_empty_sides_rejected(self):
+        with pytest.raises(ValidationError):
+            partition_shape(0, 2)
+        with pytest.raises(ValidationError):
+            partition_shape(2, 0)
