@@ -2,24 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Iterable
 
+from .errors import ValidationError
+from .report import _cmat, _cvec
+
 _S2 = 1.0 / math.sqrt(2.0)
 _S3 = 1.0 / math.sqrt(3.0)
-
-
-def _cnum(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _cvec(v) -> list[list[float]]:
-    return [_cnum(z) for z in v]
-
-
-def _cmat(m) -> list[list[list[float]]]:
-    return [_cvec(row) for row in m]
 
 
 def _eye(n: int) -> list[list[float]]:
@@ -133,11 +124,7 @@ def example_names() -> list[str]:
 
 
 def example_request(name: str) -> dict:
-    from .errors import ValidationError
-
     if name not in EXAMPLES:
         known = ", ".join(EXAMPLES)
         raise ValidationError(f"unknown example {name!r}; available: {known}")
-    import copy
-
     return copy.deepcopy(EXAMPLES[name]["request"])

@@ -17,24 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence
+from itertools import product
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import search
 from .errors import ValidationError
 from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
+    PartitionShape,
     enumerate_disintegrating,
-    normalization,
-    partition_shape,
 )
+from .search import CAUSE, EFFECT, Direction
 from .tensor import DEFAULT_TOL
-
-Direction = Literal["cause", "effect"]
-
-_EFFECT: Direction = "effect"
-_CAUSE: Direction = "cause"
 
 
 class Mechanism(NamedTuple):
@@ -317,19 +313,26 @@ def unconstrained_cause(sys: ClassicalSystem, purview: Iterable[int]) -> Classic
 
 def _repertoire(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
                 direction: Direction) -> Optional[ClassicalRepertoire]:
-    if direction == _EFFECT:
+    if direction == EFFECT:
         return effect_repertoire(sys, mechanism, purview)
     return cause_repertoire(sys, mechanism, purview)
 
 
 def _unconstrained(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
                    direction: Direction) -> ClassicalRepertoire:
-    if direction == _EFFECT:
+    if direction == EFFECT:
         return unconstrained_effect(sys, purview, mechanism.units)
     return unconstrained_cause(sys, purview)
 
 
 # -- information measures -------------------------------------------------
+
+
+def _pointwise(p: float, q: float, support_tol: float) -> float:
+    """p * log2(p / q); 0 where p is not in the support, +inf where q is not."""
+    if p <= support_tol:
+        return 0.0
+    return math.inf if q <= support_tol else p * math.log2(p / q)
 
 
 def intrinsic_difference(p, q, support_tol: float = DEFAULT_TOL,
@@ -344,10 +347,7 @@ def intrinsic_difference(p, q, support_tol: float = DEFAULT_TOL,
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValidationError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    vals = np.zeros(len(p))
-    for s in range(len(p)):
-        if p[s] > support_tol:
-            vals[s] = math.inf if q[s] <= support_tol else p[s] * math.log2(p[s] / q[s])
+    vals = np.array([_pointwise(ps, qs, support_tol) for ps, qs in zip(p, q)])
     value = float(np.max(vals)) if len(vals) else 0.0
     if math.isinf(value):
         states = tuple(int(s) for s in np.nonzero(np.isinf(vals))[0])
@@ -362,13 +362,7 @@ def kld(p, q, support_tol: float = DEFAULT_TOL) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValidationError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    total = 0.0
-    for s in range(len(p)):
-        if p[s] > support_tol:
-            if q[s] <= support_tol:
-                return math.inf
-            total += p[s] * math.log2(p[s] / q[s])
-    return total
+    return sum((_pointwise(ps, qs, support_tol) for ps, qs in zip(p, q)), 0.0)
 
 
 def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
@@ -404,7 +398,7 @@ def _part_repertoire(sys: ClassicalSystem, mechanism: Mechanism, m_part: tuple[i
     repertoire (effect side) or the uniform distribution (cause side).
     """
     sub = mechanism.restrict(m_part)
-    if direction == _EFFECT:
+    if direction == EFFECT:
         return effect_repertoire(sys, sub, z_part).probabilities
     if not m_part:
         return unconstrained_cause(sys, z_part).probabilities
@@ -460,15 +454,8 @@ def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     part = partitioned_repertoire(sys, mechanism, purview, theta, direction)
     if part is None:
         return math.inf
-    best = 0.0
-    for s in states:
-        ps = float(rep.probabilities[s])
-        qs = float(part.probabilities[s])
-        if ps <= sys.tol:
-            continue
-        val = math.inf if qs <= sys.tol else ps * math.log2(ps / qs)
-        best = max(best, val)
-    return best
+    return max([0.0, *(_pointwise(float(rep.probabilities[s]), float(part.probabilities[s]),
+                                  sys.tol) for s in states)])
 
 
 def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -476,23 +463,24 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
         ) -> tuple[DisintegratingPartition, float]:
     """Minimum partition: argmin over partitions of phi / severed-pair count.
 
-    The returned value is the unnormalized phi at the minimizing partition.
-    Ties in the normalized score go to the smaller unnormalized phi, then to
-    the earlier partition in canonical enumeration order.
-
-    Every partition is scored at once.  Each distinct part's repertoire is
-    read at the intrinsic states into one row of a factor table; a
-    partition's q is the product of its parts' rows, taken in part order, so
-    it equals ``partitioned_repertoire`` bit for bit, and each value equals
-    ``phi`` at the same states.
+    The returned value is the unnormalized phi at the minimizing partition;
+    ties are broken by ``search.mip``.
     """
     purview = sys._check_units(purview, "purview")
-    m_units = tuple(sorted(mechanism.units))
-    shape = partition_shape(len(m_units), len(purview))
-    parts = shape.relabel(m_units, purview)
-    _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
-    if states is None:
-        return shape.partition(0, parts), 0.0
+    return search.mip(sys, mechanism, tuple(sorted(mechanism.units)), purview, direction,
+                      tie_tol, intrinsic_information, _score_partitions)
+
+
+def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
+                      direction: Direction, states: tuple[int, ...], shape: PartitionShape,
+                      parts: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
+    """``phi`` of every partition of ``shape``, in canonical order, in one pass.
+
+    Each distinct part's repertoire is read at the intrinsic states into one
+    row of a factor table; a partition's q is the product of its parts' rows,
+    taken in part order, so it equals ``partitioned_repertoire`` bit for bit,
+    and each value equals ``phi`` at the same states.
+    """
     p = _repertoire(sys, mechanism, purview, direction).probabilities
     live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
     counts = np.array([sys.unit_state_counts[u] for u in purview])
@@ -522,62 +510,33 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     scores = np.where(supported, p[live] * logs.reshape(ratio.shape), math.inf)
     values = scores.max(axis=1, initial=0.0)
     values[missing[shape.slots].any(axis=1)] = math.inf
-    # lexsort is stable: equal (value / norm, value) keys keep enumeration order.
-    best = int(np.lexsort((values, values / shape.norms))[0])
-    return shape.partition(best, parts), float(values[best])
+    return values
 
 
 def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,
             tie_tol: float = DEFAULT_TOL) -> Optional[ClassicalDistinction]:
     """Maximally irreducible purview for a mechanism, or None if fully reducible.
 
-    Purviews tying within ``tie_tol`` are resolved toward the larger purview;
-    remaining candidates are recorded.  Tied intrinsic states are all kept,
-    ordered by their phi at the minimum partition.
+    Purview and intrinsic-state ties are resolved by ``search.phi_max``;
+    every tied intrinsic state is kept.
     """
     sys._check_units(mechanism.units, "mechanism")
     sys._check_state(mechanism)
-    if not mechanism.units:
-        raise ValidationError("mechanism must be nonempty")
-
-    per_purview: dict[tuple[int, ...], tuple[DisintegratingPartition, float]] = {}
-    purviews = _all_subsets(sys.candidate_units)
-    for purview in purviews:
-        per_purview[purview] = mip(sys, mechanism, purview, direction, tie_tol)
-
-    best_phi = max(v for _, v in per_purview.values())
-    if not best_phi > tie_tol:
+    found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
+                           tie_tol, mip, intrinsic_information, phi)
+    if found is None:
         return None
-    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tie_tol]
-    tied.sort(key=lambda z: (-len(z), z))
-    selected, others = tied[0], tuple(tied[1:])
-    theta, value = per_purview[selected]
-
-    _, states = intrinsic_information(sys, mechanism, selected, direction, tie_tol)
-    scored = []
-    for s in states:
-        scored.append(
-            (phi(sys, mechanism, selected, theta, direction, [s], tie_tol), s)
-        )
-    top = max(v for v, _ in scored)
-    winners = [s for v, s in scored if v >= top - tie_tol]
-    z_states = sys.subset_states(selected)
+    z_states = sys.subset_states(found.purview)
     return ClassicalDistinction(
-        mechanism_units=mechanism.units,
-        mechanism_state=mechanism.state,
-        direction=direction,
-        purview=selected,
-        intrinsic_states=tuple(z_states[s] for s in winners),
-        phi=max(value, 0.0),
-        mip=theta,
-        normalization=normalization(theta, mechanism.units, selected),
-        tied_purviews=others,
+        mechanism.units, mechanism.state, direction, found.purview,
+        tuple(z_states[s] for s in found.states),
+        found.phi, found.mip, found.normalization, found.tied_purviews,
     )
 
 
 def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,
            state_t1: Optional[Sequence[int]] = None,
-           directions: Sequence[Direction] = (_EFFECT, _CAUSE),
+           directions: Sequence[Direction] = (EFFECT, CAUSE),
            mechanisms: Optional[Sequence[Sequence[int]]] = None,
            tie_tol: float = DEFAULT_TOL) -> list[ClassicalDistinction]:
     """All distinctions of a system state: phi_max per mechanism subset.
@@ -585,24 +544,21 @@ def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,
     Effects are evaluated for mechanisms drawn from ``state_t``, causes for
     mechanisms drawn from ``state_t1``; subsets with phi = 0 are omitted.
     """
-    out: list[ClassicalDistinction] = []
     subsets = (
         [sys._check_units(m, "mechanism") for m in mechanisms]
-        if mechanisms is not None else _all_subsets(sys.candidate_units)
+        if mechanisms is not None else search.all_subsets(sys.candidate_units)
     )
-    for direction in directions:
-        base = state_t if direction == _EFFECT else state_t1
+
+    def mechanisms_in(direction: Direction):
+        base = state_t if direction == EFFECT else state_t1
         if base is None:
-            which = "state_t" if direction == _EFFECT else "state_t1"
+            which = "state_t" if direction == EFFECT else "state_t1"
             raise ValidationError(f"{direction} analysis requires {which}")
         base = _check_full_state(sys, base)
-        for units in subsets:
-            mech = Mechanism(units, sys.state_of(base, units))
-            d = phi_max(sys, mech, direction, tie_tol)
-            if d is not None:
-                out.append(d)
-    out.sort(key=lambda d: (d.direction == _CAUSE, d.order, d.mechanism_units))
-    return out
+        return lambda units: Mechanism(units, sys.state_of(base, units))
+
+    return search.unfold(directions, subsets, mechanisms_in,
+                         lambda mech, direction: phi_max(sys, mech, direction, tie_tol))
 
 
 def _check_full_state(sys: ClassicalSystem, state: Sequence[int]) -> tuple[int, ...]:
@@ -617,9 +573,3 @@ def _check_full_state(sys: ClassicalSystem, state: Sequence[int]) -> tuple[int, 
             raise ValidationError(f"state conflicts with background at unit {u}")
     return state
 
-
-def _all_subsets(units: Sequence[int]) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(1, len(units) + 1):
-        out.extend(combinations(units, size))
-    return out

@@ -89,12 +89,6 @@ class DisintegratingPartition:
     def k(self) -> int:
         return len(self.parts)
 
-    def mechanism_units(self) -> Units:
-        return tuple(sorted(u for m, _ in self.parts for u in m))
-
-    def purview_units(self) -> Units:
-        return tuple(sorted(u for _, z in self.parts for u in z))
-
     def __repr__(self) -> str:
         def side(units: Units) -> str:
             return ",".join(map(str, units)) if units else "-"

@@ -19,19 +19,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import search
 from .errors import ValidationError
-from .partitions import (
+from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
+    PartitionShape,
     SetPartition,
     enumerate_disintegrating,
     enumerate_set_partitions,
-    normalization,
 )
+from .search import CAUSE, EFFECT, Direction
 from .tensor import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_TOL,
@@ -45,11 +46,6 @@ from .tensor import (
     permute_subsystems,
     purity,
 )
-
-Direction = Literal["cause", "effect"]
-
-_EFFECT: Direction = "effect"
-_CAUSE: Direction = "cause"
 
 
 class QuantumMechanism(NamedTuple):
@@ -193,7 +189,7 @@ def conditioned_output(sys: QuantumSystem, mechanism: QuantumMechanism,
         _embed_with_mixed(mechanism.state, qubits, sys.n_qubits),
         dims=sys.dims, tol=sys.tol,
     )
-    if direction == _EFFECT:
+    if direction == EFFECT:
         evolved = apply_unitary(sys.unitary, embedded, tol=sys.tol)
     else:
         evolved = apply_unitary_adjoint(sys.unitary, embedded, tol=sys.tol)
@@ -263,7 +259,7 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         raise ValidationError("purview must be nonempty")
     if mechanism.qubits:
         _check_mechanism(sys, mechanism)
-    key = (_EFFECT, mechanism.qubits, mechanism.state.data.tobytes(), purview)
+    key = (EFFECT, mechanism.qubits, mechanism.state.data.tobytes(), purview)
     hit = sys._memo.get(key)
     if hit is not None:
         return hit
@@ -274,7 +270,7 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         )
         sys._memo[key] = rep
         return rep
-    out = conditioned_output(sys, mechanism, purview, _EFFECT)
+    out = conditioned_output(sys, mechanism, purview, EFFECT)
     structure = entanglement_partition(out, tol=sys.tol)
     blocks = [tuple(purview[i] for i in b) for b in structure.blocks]
     if structure.r == 1:
@@ -305,7 +301,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         raise ValidationError("purview must be nonempty")
     if mechanism.qubits:
         _check_mechanism(sys, mechanism)
-    key = (_CAUSE, mechanism.qubits, mechanism.state.data.tobytes(), purview)
+    key = (CAUSE, mechanism.qubits, mechanism.state.data.tobytes(), purview)
     if key in sys._memo:
         return sys._memo[key]
     if not mechanism.qubits:
@@ -326,7 +322,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
             else partial_trace(mechanism.state, positions, tol=sys.tol)
         )
         block = QuantumMechanism(qubits, block_state)
-        product = product @ conditioned_output(sys, block, purview, _CAUSE).data
+        product = product @ conditioned_output(sys, block, purview, CAUSE).data
 
     trace = complex(np.trace(product))
     if abs(trace) <= sys.tol:
@@ -363,7 +359,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
 def _repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
                 purview: tuple[int, ...], direction: Direction
                 ) -> Optional[QuantumRepertoire]:
-    if direction == _EFFECT:
+    if direction == EFFECT:
         return effect_repertoire(sys, mechanism, purview)
     return cause_repertoire(sys, mechanism, purview)
 
@@ -371,28 +367,44 @@ def _repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
 # -- information measures -------------------------------------------------
 
 
-def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                             tol: float = DEFAULT_TOL) -> float:
-    """tr(rho log2 rho) - tr(rho log2 sigma); +inf outside sigma's support."""
+def _eigen_score(p_i: float, overlap: np.ndarray, q: np.ndarray, tol: float) -> float:
+    """p_i (log2 p_i - sum_j overlap_j log2 q_j) for one eigenvector of rho.
+
+    0 when p_i is not in rho's support; +inf when the eigenvector overlaps
+    an eigenvector of sigma outside sigma's support.
+    """
+    if p_i <= tol:
+        return 0.0
+    cross = 0.0
+    for o_j, q_j in zip(overlap, q):
+        if o_j <= tol:
+            continue
+        if q_j <= tol:
+            return math.inf
+        cross += o_j * math.log2(q_j)
+    return p_i * (math.log2(p_i) - cross)
+
+
+def _eigensystems(rho: DensityMatrix, sigma: DensityMatrix, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, rho's eigenvectors, q, |<i|j>|^2) with eigenvalues clipped at 0."""
     if rho.dim != sigma.dim:
         raise ValidationError("dimension mismatch between the two states")
     er = hermitian_eig(rho, tol=tol)
     es = hermitian_eig(sigma, tol=tol)
-    p = np.clip(er.eigenvalues, 0.0, None)
-    q = np.clip(es.eigenvalues, 0.0, None)
     overlap = np.abs(er.eigenvectors.conj().T @ es.eigenvectors) ** 2
-    own = float(sum(pi * math.log2(pi) for pi in p if pi > tol))
-    cross = 0.0
-    for i in range(len(p)):
-        if p[i] <= tol:
-            continue
-        for j in range(len(q)):
-            if overlap[i, j] <= tol:
-                continue
-            if q[j] <= tol:
-                return math.inf
-            cross += p[i] * overlap[i, j] * math.log2(q[j])
-    return own - cross
+    return (np.clip(er.eigenvalues, 0.0, None), er.eigenvectors,
+            np.clip(es.eigenvalues, 0.0, None), overlap)
+
+
+def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
+                             tol: float = DEFAULT_TOL) -> float:
+    """tr(rho log2 rho) - tr(rho log2 sigma); +inf outside sigma's support.
+
+    The sum over rho's eigenvectors of their ``qid`` pointwise scores.
+    """
+    p, _, q, overlap = _eigensystems(rho, sigma, tol)
+    return float(sum(_eigen_score(p[i], overlap[i], q, tol) for i in range(len(p))))
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:
@@ -416,32 +428,14 @@ def qid(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL,
     deficiency makes the score +inf.  Coincides with the classical measure on
     commuting pairs and with the relative entropy when rho is pure.
     """
-    if rho.dim != sigma.dim:
-        raise ValidationError("dimension mismatch between the two states")
-    er = hermitian_eig(rho, tol=tol)
-    es = hermitian_eig(sigma, tol=tol)
-    p = np.clip(er.eigenvalues, 0.0, None)
-    q = np.clip(es.eigenvalues, 0.0, None)
-    overlap = np.abs(er.eigenvectors.conj().T @ es.eigenvectors) ** 2
-    scores = np.zeros(len(p))
-    for i in range(len(p)):
-        if p[i] <= tol:
-            continue
-        cross = 0.0
-        for j in range(len(q)):
-            if overlap[i, j] <= tol:
-                continue
-            if q[j] <= tol:
-                cross = -math.inf
-                break
-            cross += overlap[i, j] * math.log2(q[j])
-        scores[i] = math.inf if math.isinf(cross) else p[i] * (math.log2(p[i]) - cross)
+    p, vectors, q, overlap = _eigensystems(rho, sigma, tol)
+    scores = np.array([_eigen_score(p[i], overlap[i], q, tol) for i in range(len(p))])
     value = float(np.max(scores))
     if math.isinf(value):
         winners = [i for i in range(len(p)) if math.isinf(scores[i])]
     else:
         winners = [i for i in range(len(p)) if scores[i] >= value - tie_tol]
-    states = [(float(p[i]), fix_global_phase(er.eigenvectors[:, i].copy())) for i in winners]
+    states = [(float(p[i]), fix_global_phase(vectors[:, i].copy())) for i in winners]
     return value, states
 
 
@@ -466,6 +460,24 @@ def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
 # -- partitioned repertoires and phi --------------------------------------
 
 
+def _part_rho(sys: QuantumSystem, mechanism: QuantumMechanism, m_part: tuple[int, ...],
+              z_part: tuple[int, ...], direction: Direction) -> Optional[DensityMatrix]:
+    """Repertoire of one partition part over a nonempty ``z_part``, or None if empty.
+
+    The part takes the mechanism's reduction to its own qubits; an empty
+    mechanism part gets the maximally mixed state.
+    """
+    if not m_part:
+        return _maximally_mixed(z_part)
+    positions = [mechanism.qubits.index(q) for q in m_part]
+    sub_state = (
+        mechanism.state if len(m_part) == len(mechanism.qubits)
+        else partial_trace(mechanism.state, positions, tol=sys.tol)
+    )
+    rep = _repertoire(sys, QuantumMechanism(m_part, sub_state), z_part, direction)
+    return None if rep is None else rep.rho
+
+
 def partitioned_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
                            purview: Iterable[int], theta: DisintegratingPartition,
                            direction: Direction) -> Optional[DensityMatrix]:
@@ -482,20 +494,20 @@ def partitioned_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     for m_part, z_part in theta.parts:
         if not z_part:
             continue
-        if not m_part:
-            factors.append((z_part, _maximally_mixed(z_part)))
-            continue
-        positions = [mechanism.qubits.index(q) for q in m_part]
-        sub_state = (
-            mechanism.state if len(m_part) == len(mechanism.qubits)
-            else partial_trace(mechanism.state, positions, tol=sys.tol)
-        )
-        sub = QuantumMechanism(m_part, sub_state)
-        rep = _repertoire(sys, sub, z_part, direction)
-        if rep is None:
+        rho = _part_rho(sys, mechanism, m_part, z_part, direction)
+        if rho is None:
             return None
-        factors.append((z_part, rep.rho))
+        factors.append((z_part, rho))
     return _assemble(purview, factors, sys.tol)
+
+
+def _phi_against(part: DensityMatrix, eigenstates: Sequence[tuple[float, np.ndarray]],
+                 tol: float) -> float:
+    """Largest QID score of the intrinsic eigenstates against ``part``, floored at 0."""
+    es = hermitian_eig(part.data, tol=tol)
+    q = np.clip(es.eigenvalues, 0.0, None)
+    return max([0.0, *(_eigen_score(p_i, np.abs(vec.conj() @ es.eigenvectors) ** 2, q, tol)
+                        for p_i, vec in eigenstates)])
 
 
 def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -516,24 +528,7 @@ def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
     part = partitioned_repertoire(sys, mechanism, purview, theta, direction)
     if part is None:
         return math.inf
-    es = hermitian_eig(part.data, tol=sys.tol)
-    q = np.clip(es.eigenvalues, 0.0, None)
-    best = 0.0
-    for p_i, vec in eigenstates:
-        if p_i <= sys.tol:
-            continue
-        overlap = np.abs(vec.conj() @ es.eigenvectors) ** 2
-        cross = 0.0
-        for j in range(len(q)):
-            if overlap[j] <= sys.tol:
-                continue
-            if q[j] <= sys.tol:
-                cross = -math.inf
-                break
-            cross += overlap[j] * math.log2(q[j])
-        val = math.inf if math.isinf(cross) else p_i * (math.log2(p_i) - cross)
-        best = max(best, val)
-    return best
+    return _phi_against(part, eigenstates, sys.tol)
 
 
 def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -541,24 +536,33 @@ def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
         ) -> tuple[DisintegratingPartition, float]:
     """Minimum partition by severed-pair-normalized phi; unnormalized phi returned.
 
-    Normalized ties go to the smaller unnormalized phi, then to canonical
-    enumeration order.
+    Ties are broken by ``search.mip``.
     """
     purview = sys._check_qubits(purview, "purview")
-    thetas = enumerate_disintegrating(mechanism.qubits, purview)
-    _, eigenstates = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
-    if eigenstates is None:
-        return thetas[0], 0.0
-    best_key = None
-    best: tuple[DisintegratingPartition, float] = (thetas[0], math.inf)
-    for idx, theta in enumerate(thetas):
-        value = phi(sys, mechanism, purview, theta, direction, eigenstates, tie_tol)
-        norm = normalization(theta, mechanism.qubits, purview)
-        key = (value / norm, value, idx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (theta, value)
-    return best
+    return search.mip(sys, mechanism, mechanism.qubits, purview, direction, tie_tol,
+                      intrinsic_information, _score_partitions)
+
+
+def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
+                      purview: tuple[int, ...], direction: Direction,
+                      eigenstates: Sequence[tuple[float, np.ndarray]], shape: PartitionShape,
+                      parts: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
+    """``phi`` of every partition of ``shape``, in canonical order.
+
+    Each distinct part's density matrix is built once; a partition's
+    repertoire is the tensor product of its parts', assembled as in
+    ``partitioned_repertoire``, so each value equals ``phi``.
+    """
+    rhos = {j: _part_rho(sys, mechanism, m_part, z_part, direction)
+            for j, (m_part, z_part) in enumerate(parts) if z_part}
+    values = np.empty(len(shape.slots))
+    for i, row in enumerate(shape.slots.tolist()):
+        factors = [(parts[j][1], rhos[j]) for j in row if j in rhos]
+        if any(rho is None for _, rho in factors):
+            values[i] = math.inf
+        else:
+            values[i] = _phi_against(_assemble(purview, factors, sys.tol), eigenstates, sys.tol)
+    return values
 
 
 def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction,
@@ -567,56 +571,30 @@ def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Directio
             ) -> Optional[QuantumDistinction]:
     """Maximally irreducible purview for a mechanism, or None if fully reducible.
 
-    Purview ties within ``tie_tol`` resolve toward more qubits; remaining
-    candidates are recorded.  The intrinsic state keeps every eigenvector
-    whose phi at the minimum partition ties the maximum, reported as an
-    eigensubspace when they share a degenerate eigenvalue.
+    Purview and eigenvector ties are resolved by ``search.phi_max``.  The
+    intrinsic state keeps every eigenvector whose phi at the minimum partition
+    ties the maximum, reported as an eigensubspace when they share a
+    degenerate eigenvalue.
     """
     qubits = _check_mechanism(sys, mechanism)
-    if not qubits:
-        raise ValidationError("mechanism must be nonempty")
-
-    per_purview: dict[tuple[int, ...], tuple[DisintegratingPartition, float]] = {}
-    for purview in _all_subsets(sys.qubit_range()):
-        per_purview[purview] = mip(sys, mechanism, purview, direction, tie_tol)
-
-    best_phi = max(v for _, v in per_purview.values())
-    if not best_phi > tie_tol:
+    found = search.phi_max(sys, mechanism, qubits, sys.qubit_range(), direction, tie_tol,
+                           mip, intrinsic_information, phi)
+    if found is None:
         return None
-    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tie_tol]
-    tied.sort(key=lambda z: (-len(z), z))
-    selected, others = tied[0], tuple(tied[1:])
-    theta, value = per_purview[selected]
-
-    _, eigenstates = intrinsic_information(sys, mechanism, selected, direction, tie_tol)
-    scored = [
-        (phi(sys, mechanism, selected, theta, direction, [cand], tie_tol), cand)
-        for cand in eigenstates
-    ]
-    top = max(v for v, _ in scored)
-    winners = [cand for v, cand in scored if v >= top - tie_tol]
-    eigenvalues = tuple(p for p, _ in winners)
-    vectors = tuple(vec for _, vec in winners)
-    degenerate = len(winners) > 1 and (
+    eigenvalues = tuple(p for p, _ in found.states)
+    degenerate = len(eigenvalues) > 1 and (
         max(eigenvalues) - min(eigenvalues) <= degeneracy_tol
     )
+    intrinsic = IntrinsicState("subspace" if degenerate else "state", eigenvalues,
+                               tuple(vec for _, vec in found.states))
     return QuantumDistinction(
-        mechanism_qubits=qubits,
-        mechanism_state=mechanism.state,
-        direction=direction,
-        purview=selected,
-        intrinsic_state=IntrinsicState(
-            "subspace" if degenerate else "state", eigenvalues, vectors
-        ),
-        phi=max(value, 0.0),
-        mip=theta,
-        normalization=normalization(theta, qubits, selected),
-        tied_purviews=others,
+        qubits, mechanism.state, direction, found.purview, intrinsic,
+        found.phi, found.mip, found.normalization, found.tied_purviews,
     )
 
 
 def unfold(sys: QuantumSystem, rho_t: DensityMatrix,
-           directions: Sequence[Direction] = (_EFFECT, _CAUSE),
+           directions: Sequence[Direction] = (EFFECT, CAUSE),
            mechanisms: Optional[Sequence[Sequence[int]]] = None,
            tie_tol: float = DEFAULT_TOL) -> list[QuantumDistinction]:
     """All distinctions of a system state: phi_max per mechanism subset.
@@ -629,18 +607,15 @@ def unfold(sys: QuantumSystem, rho_t: DensityMatrix,
         raise ValidationError("system state does not match the qubit count")
     subsets = (
         [sys._check_qubits(m, "mechanism") for m in mechanisms]
-        if mechanisms is not None else _all_subsets(sys.qubit_range())
+        if mechanisms is not None else search.all_subsets(sys.qubit_range())
     )
-    out: list[QuantumDistinction] = []
-    for direction in directions:
-        base = rho_t if direction == _EFFECT else apply_unitary(sys.unitary, rho_t, sys.tol)
-        for qubits in subsets:
-            mech = sys.mechanism(qubits, base)
-            d = phi_max(sys, mech, direction, tie_tol)
-            if d is not None:
-                out.append(d)
-    out.sort(key=lambda d: (d.direction == _CAUSE, d.order, d.mechanism_qubits))
-    return out
+
+    def mechanisms_in(direction: Direction):
+        base = rho_t if direction == EFFECT else apply_unitary(sys.unitary, rho_t, sys.tol)
+        return lambda qubits: sys.mechanism(qubits, base)
+
+    return search.unfold(directions, subsets, mechanisms_in,
+                         lambda mech, direction: phi_max(sys, mech, direction, tie_tol))
 
 
 def identity_structure(state: DensityMatrix, tol: float = DEFAULT_TOL,
@@ -653,11 +628,5 @@ def identity_structure(state: DensityMatrix, tol: float = DEFAULT_TOL,
     """
     n = len(state.dims)
     sys = QuantumSystem(np.eye(2**n), tol=tol)
-    return unfold(sys, state, directions=(_EFFECT,), tie_tol=tie_tol)
+    return unfold(sys, state, directions=(EFFECT,), tie_tol=tie_tol)
 
-
-def _all_subsets(qubits: Sequence[int]) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(1, len(qubits) + 1):
-        out.extend(combinations(qubits, size))
-    return out

@@ -19,10 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, classical, quantum
-from .catalog import example_request
 from .errors import NumericError, ValidationError
-from .partitions import DisintegratingPartition
-from .tensor import DEFAULT_TOL, DensityMatrix, UnitaryOperator
+from .tensor import DEFAULT_TOL, DensityMatrix, UnitaryOperator, hermitian_eig
 
 _DIRECTIONS = {"cause": ("cause",), "effect": ("effect",), "both": ("effect", "cause")}
 
@@ -319,50 +317,37 @@ def _cmat(mat) -> list:
     return [[_cnum(z) for z in row] for row in np.asarray(mat)]
 
 
-def _mip_dict(mip: DisintegratingPartition, norm: int) -> dict:
+def _distinction_dict(d, units, mechanism_state, intrinsic_state: dict) -> dict:
+    """The JSON fields of a distinction, in report order, from either backend."""
     return {
-        "parts": [
-            {"mechanism": list(m), "purview": list(z)} for m, z in mip.parts
-        ],
-        "normalization": norm,
+        "mechanism_units": list(units),
+        "mechanism_state": mechanism_state,
+        "direction": d.direction,
+        "purview": list(d.purview),
+        "intrinsic_state": intrinsic_state,
+        "phi": _phi_value(d.phi),
+        "mip": {
+            "parts": [{"mechanism": list(m), "purview": list(z)} for m, z in d.mip.parts],
+            "normalization": d.normalization,
+        },
+        "ties": [{"type": "purview", "units": list(z)} for z in d.tied_purviews],
     }
-
-
-def _ties_list(d) -> list:
-    return [{"type": "purview", "units": list(z)} for z in d.tied_purviews]
 
 
 def _classical_dict(d: classical.ClassicalDistinction) -> dict:
-    return {
-        "mechanism_units": list(d.mechanism_units),
-        "mechanism_state": list(d.mechanism_state),
-        "direction": d.direction,
-        "purview": list(d.purview),
-        "intrinsic_state": {
-            "kind": "state",
-            "vectors": [list(s) for s in d.intrinsic_states],
-        },
-        "phi": _phi_value(d.phi),
-        "mip": _mip_dict(d.mip, d.normalization),
-        "ties": _ties_list(d),
-    }
+    return _distinction_dict(d, d.mechanism_units, list(d.mechanism_state), {
+        "kind": "state",
+        "vectors": [list(s) for s in d.intrinsic_states],
+    })
 
 
 def _quantum_dict(d: quantum.QuantumDistinction) -> dict:
-    return {
-        "mechanism_units": list(d.mechanism_qubits),
-        "mechanism_state": {"kind": "density", "matrix": _cmat(d.mechanism_state.data)},
-        "direction": d.direction,
-        "purview": list(d.purview),
-        "intrinsic_state": {
-            "kind": d.intrinsic_state.kind,
-            "eigenvalues": [float(p) for p in d.intrinsic_state.eigenvalues],
-            "vectors": [_cvec(v) for v in d.intrinsic_state.vectors],
-        },
-        "phi": _phi_value(d.phi),
-        "mip": _mip_dict(d.mip, d.normalization),
-        "ties": _ties_list(d),
-    }
+    mechanism_state = {"kind": "density", "matrix": _cmat(d.mechanism_state.data)}
+    return _distinction_dict(d, d.mechanism_qubits, mechanism_state, {
+        "kind": d.intrinsic_state.kind,
+        "eigenvalues": [float(p) for p in d.intrinsic_state.eigenvalues],
+        "vectors": [_cvec(v) for v in d.intrinsic_state.vectors],
+    })
 
 
 # -- rendering -------------------------------------------------------------
@@ -413,8 +398,6 @@ def _fmt_vector(vec: np.ndarray, n_units: int) -> str:
 
 
 def _fmt_density(rho: DensityMatrix) -> str:
-    from .tensor import hermitian_eig
-
     n = len(rho.dims)
     eig = hermitian_eig(rho.data)
     if abs(eig.eigenvalues[0] - 1.0) < 1e-9:

@@ -115,15 +115,6 @@ class DensityMatrix:
     def purity(self) -> float:
         return purity(self)
 
-    def is_pure(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.purity() - 1.0) <= tol
-
-    def reduced(self, keep: Iterable[int], tol: float = DEFAULT_TOL) -> "DensityMatrix":
-        return partial_trace(self, keep, tol=tol)
-
-    def allclose(self, other, tol: float = 1e-8) -> bool:
-        return bool(np.allclose(self.data, _as_matrix(other), atol=tol))
-
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims}, purity={self.purity():.6g})"
 

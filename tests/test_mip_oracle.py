@@ -1,10 +1,11 @@
-"""The vectorized classical MIP search against the literal per-partition loop.
+"""Both backends' MIP search against the literal per-partition loop.
 
-``oracle_mip`` is the search as first written: enumerate every
-disintegrating partition, score each with ``phi`` and keep the smallest
-(phi / severed pairs, phi, enumeration index).  ``classical.mip`` must pick
-the same partition and return the same value, bit for bit, on every
-(mechanism, purview) pair of random and deterministic networks.
+``oracle_mip`` and ``oracle_quantum_mip`` are the searches as first written:
+enumerate every disintegrating partition, score each with ``phi`` and keep
+the smallest (phi / severed pairs, phi, enumeration index).  ``classical.mip``
+and ``quantum.mip`` must pick the same partition and return the same value,
+bit for bit, on every (mechanism, purview) pair of random and deterministic
+systems.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ import math
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_permutation_tpm
+from conftest import CNOT, GHZ, S2, W, pure, random_density, random_permutation_tpm, random_unitary
 from mechphi import classical as cl
+from mechphi import quantum as qm
+from mechphi.search import all_subsets
 from mechphi.partitions import DisintegratingPartition, enumerate_disintegrating, normalization
 
 
@@ -76,7 +80,7 @@ def networks(draw, min_units=2, max_units=3):
 
 
 def assert_every_pair_matches(system, state):
-    subsets = cl._all_subsets(system.candidate_units)
+    subsets = all_subsets(system.candidate_units)
     for direction in ("effect", "cause"):
         for units in subsets:
             mech = cl.Mechanism(units, system.state_of(state, units))
@@ -159,3 +163,84 @@ def test_empty_part_repertoire_scores_infinite(monkeypatch):
     theta, value = cl.mip(system, mech, (0,), "cause")
     assert theta != cut and 0.0 < value < math.inf
     assert_every_pair_matches(system, (1, 0))
+
+
+def oracle_quantum_mip(sys, mechanism, purview, direction, tie_tol=qm.DEFAULT_TOL):
+    purview = sys._check_qubits(purview, "purview")
+    thetas = enumerate_disintegrating(mechanism.qubits, purview)
+    _, eigenstates = qm.intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+    if eigenstates is None:
+        return thetas[0], 0.0
+    best_key = None
+    best: tuple[DisintegratingPartition, float] = (thetas[0], math.inf)
+    for idx, theta in enumerate(thetas):
+        value = qm.phi(sys, mechanism, purview, theta, direction, eigenstates, tie_tol)
+        norm = normalization(theta, mechanism.qubits, purview)
+        key = (value / norm, value, idx)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (theta, value)
+    return best
+
+
+def assert_every_quantum_pair_matches(unitary, rho):
+    system = qm.QuantumSystem(unitary)
+    subsets = all_subsets(system.qubit_range())
+    for direction in ("effect", "cause"):
+        base = rho if direction == "effect" else qm.apply_unitary(system.unitary, rho)
+        for qubits in subsets:
+            mech = system.mechanism(qubits, base)
+            for purview in subsets:
+                got_theta, got_value = qm.mip(system, mech, purview, direction)
+                want_theta, want_value = oracle_quantum_mip(system, mech, purview, direction)
+                assert got_theta == want_theta, (direction, qubits, purview)
+                assert got_value == want_value, (direction, qubits, purview)
+
+
+def haar_cases():
+    """One Haar unitary per size, with a random state of every rank (rank 1 is pure)."""
+    rng = np.random.default_rng(20230105)
+    for n in (1, 2, 3):
+        u = random_unitary(rng, 2**n)
+        for rank in range(1, 2**n + 1):
+            yield pytest.param(u, random_density(rng, 2**n, rank), id=f"{n}q-rank{rank}")
+
+
+I_CNOT = np.kron(np.eye(2), CNOT)
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("unitary, rho", [
+    *haar_cases(),
+    pytest.param(CNOT, pure([0, 0, 1, 0]), id="cnot-10"),
+    pytest.param(CNOT, pure([0.5, 0.5, -0.5, -0.5]), id="cnot-hadamard"),
+    pytest.param(CNOT, pure([S2, 0, S2, 0]), id="cnot-bell"),
+    pytest.param(I_CNOT, pure(GHZ), id="icnot-ghz"),
+    pytest.param(np.eye(8), pure(GHZ), id="identity-ghz"),
+    pytest.param(np.eye(8), pure(W), id="identity-w"),
+])
+def test_quantum_mip_matches_loop(unitary, rho):
+    assert_every_quantum_pair_matches(unitary, rho)
+
+
+def test_quantum_empty_part_repertoire_scores_infinite(monkeypatch):
+    """A part whose cause repertoire is empty makes its partitions score +inf."""
+    system = qm.QuantumSystem(CNOT)
+    rho = pure([0, 0, 1, 0])
+    mech = system.mechanism((0, 1), qm.apply_unitary(system.unitary, rho))
+    cause_repertoire = qm.cause_repertoire
+
+    def without_qubit_0(sys, mechanism, purview):
+        if mechanism.qubits == (0,):
+            return None
+        return cause_repertoire(sys, mechanism, purview)
+
+    # Scored with a repertoire, this cut is the minimum partition.
+    cut = DisintegratingPartition.from_parts([((), (1,)), ((0,), (0,)), ((1,), ())])
+    assert qm.mip(system, mech, (0, 1), "cause") == (cut, 1.0)
+    monkeypatch.setattr(qm, "cause_repertoire", without_qubit_0)
+    assert qm.phi(system, mech, (0, 1), cut, "cause") == math.inf
+    theta, value = qm.mip(system, mech, (0, 1), "cause")
+    assert theta != cut and value < math.inf
+    assert_every_quantum_pair_matches(CNOT, rho)
