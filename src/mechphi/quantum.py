@@ -12,6 +12,12 @@ separable blocks, as a trace-normalized matrix product of their individually
 conditioned inputs.  Scores use the eigenvector-maximized quantum intrinsic
 difference; irreducibility and purview maximization proceed exactly as in the
 classical case.
+
+Tensor products of repertoires are formed by reading each factor into the
+purview's basis layout and multiplying entrywise, which equals ``np.kron``
+followed by a subsystem permutation bit for bit.  The MIP search scores a
+pair's partitions in fixed blocks: one stack of products, validated with the
+``DensityMatrix`` checks and decomposed by one batched ``eigh`` per block.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from .tensor import (
     UnitaryOperator,
     apply_unitary,
     apply_unitary_adjoint,
+    check_density_matrices,
+    eigh_descending,
     hermitian_eig,
     partial_trace,
     partial_transpose,
@@ -233,17 +241,48 @@ def entanglement_partition(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> SetP
     return candidates[-1]  # unreachable: the single block always passes
 
 
-def _assemble(purview: Sequence[int], factors: Sequence[tuple[Sequence[int], DensityMatrix]],
-              tol: float) -> DensityMatrix:
-    """Tensor factors over disjoint qubit groups into ascending purview order."""
-    order: list[int] = []
-    arr = np.ones((1, 1), dtype=complex)
-    for qubits, rho in factors:
-        order.extend(qubits)
-        arr = np.kron(arr, rho.data)
-    positions = [list(purview).index(q) for q in order]
-    arr = permute_subsystems(arr, (2,) * len(purview), positions)
-    return DensityMatrix(arr, dims=(2,) * len(purview), tol=tol)
+def _gather(purview: Sequence[int], factors: Sequence[Optional[tuple[Sequence[int], np.ndarray]]]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Factor table: each (qubits, matrix) factor read into the purview's layout.
+
+    Row j is E_j[a, b] = rho_j[sub_j(a), sub_j(b)], where sub_j reads factor
+    j's qubits, in its order, from a big-endian purview index.  Returns the
+    table and which of its rows hold a factor: not the None factors, nor the
+    padding row ``len(factors)``.
+    """
+    k = len(purview)
+    bits = (np.arange(2 ** k)[:, np.newaxis] >> np.arange(k - 1, -1, -1)) & 1
+    table = np.ones((len(factors) + 1, 2 ** k, 2 ** k), dtype=complex)
+    used = np.zeros(len(factors) + 1, dtype=bool)
+    for j, factor in enumerate(factors):
+        if factor is None:
+            continue
+        qubits, rho = factor
+        sub = bits[:, [purview.index(q) for q in qubits]] @ (1 << np.arange(len(qubits))[::-1])
+        table[j] = rho[sub[:, np.newaxis], sub]
+        used[j] = True
+    return table, used
+
+
+def _assemble(table: np.ndarray, used: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Tensor product of the used factors each row of ``slots`` names, unvalidated.
+
+    Every entry is the chain of complex multiplies, from 1 and in slot order,
+    that ``np.kron`` of the factors followed by a permutation into purview
+    order performs, so the two agree bit for bit.  Slots naming an unused
+    table row are skipped, not multiplied by 1, which could flip a zero's sign.
+    """
+    out = np.ones((len(slots),) + table.shape[1:], dtype=complex)
+    for column in slots.T:
+        np.multiply(out, table[column], out=out, where=used[column, np.newaxis, np.newaxis])
+    return out
+
+
+def _product_state(purview: Sequence[int], factors: Sequence[tuple[Sequence[int], np.ndarray]],
+                   tol: float) -> DensityMatrix:
+    """The tensor product of factors over disjoint qubit groups, in purview order."""
+    product = _assemble(*_gather(purview, factors), np.arange(len(factors))[np.newaxis])[0]
+    return DensityMatrix(product, dims=(2,) * len(purview), tol=tol)
 
 
 def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
@@ -277,10 +316,10 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         rho = out
     else:
         factors = [
-            (blocks[i], partial_trace(out, structure.blocks[i], tol=sys.tol))
+            (blocks[i], partial_trace(out, structure.blocks[i], tol=sys.tol).data)
             for i in range(structure.r)
         ]
-        rho = _assemble(purview, factors, sys.tol)
+        rho = _product_state(purview, factors, sys.tol)
     rep = QuantumRepertoire(purview, rho, SetPartition.from_blocks(blocks))
     sys._memo[key] = rep
     return rep
@@ -460,21 +499,27 @@ def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
 # -- partitioned repertoires and phi --------------------------------------
 
 
-def _part_rho(sys: QuantumSystem, mechanism: QuantumMechanism, m_part: tuple[int, ...],
-              z_part: tuple[int, ...], direction: Direction) -> Optional[DensityMatrix]:
-    """Repertoire of one partition part over a nonempty ``z_part``, or None if empty.
+def _reduce(sys: QuantumSystem, mechanism: QuantumMechanism,
+            m_part: tuple[int, ...]) -> QuantumMechanism:
+    """The mechanism part on ``m_part``, in the mechanism's reduced state on those qubits.
 
-    The part takes the mechanism's reduction to its own qubits; an empty
-    mechanism part gets the maximally mixed state.
+    An empty part keeps the whole state, which ``_part_rho`` never reads.
     """
-    if not m_part:
-        return _maximally_mixed(z_part)
+    if not m_part or len(m_part) == len(mechanism.qubits):
+        return QuantumMechanism(m_part, mechanism.state)
     positions = [mechanism.qubits.index(q) for q in m_part]
-    sub_state = (
-        mechanism.state if len(m_part) == len(mechanism.qubits)
-        else partial_trace(mechanism.state, positions, tol=sys.tol)
-    )
-    rep = _repertoire(sys, QuantumMechanism(m_part, sub_state), z_part, direction)
+    return QuantumMechanism(m_part, partial_trace(mechanism.state, positions, tol=sys.tol))
+
+
+def _part_rho(sys: QuantumSystem, part: QuantumMechanism, z_part: tuple[int, ...],
+              direction: Direction) -> Optional[DensityMatrix]:
+    """Repertoire of a mechanism part over a nonempty ``z_part``, or None if empty.
+
+    An empty mechanism part gets the maximally mixed state.
+    """
+    if not part.qubits:
+        return _maximally_mixed(z_part)
+    rep = _repertoire(sys, part, z_part, direction)
     return None if rep is None else rep.rho
 
 
@@ -490,24 +535,31 @@ def partitioned_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     irreducibility.  Returns None if a part's cause repertoire is empty.
     """
     purview = sys._check_qubits(purview, "purview")
-    factors: list[tuple[tuple[int, ...], DensityMatrix]] = []
+    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
     for m_part, z_part in theta.parts:
         if not z_part:
             continue
-        rho = _part_rho(sys, mechanism, m_part, z_part, direction)
+        rho = _part_rho(sys, _reduce(sys, mechanism, m_part), z_part, direction)
         if rho is None:
             return None
-        factors.append((z_part, rho))
-    return _assemble(purview, factors, sys.tol)
+        factors.append((z_part, rho.data))
+    return _product_state(purview, factors, sys.tol)
 
 
-def _phi_against(part: DensityMatrix, eigenstates: Sequence[tuple[float, np.ndarray]],
-                 tol: float) -> float:
-    """Largest QID score of the intrinsic eigenstates against ``part``, floored at 0."""
-    es = hermitian_eig(part.data, tol=tol)
-    q = np.clip(es.eigenvalues, 0.0, None)
-    return max([0.0, *(_eigen_score(p_i, np.abs(vec.conj() @ es.eigenvectors) ** 2, q, tol)
-                        for p_i, vec in eigenstates)])
+def _phi_against(stack: np.ndarray, eigenstates: Sequence[tuple[float, np.ndarray]],
+                 tol: float) -> np.ndarray:
+    """Largest QID score of the intrinsic eigenstates against each matrix of ``stack``.
+
+    Each score is floored at 0.  The matrices must already have passed
+    ``check_density_matrices``.
+    """
+    w, v = eigh_descending(stack)
+    q = np.clip(w, 0.0, None)
+    return np.array([
+        max([0.0, *(_eigen_score(p_i, np.abs(vec.conj() @ v[i]) ** 2, q[i], tol)
+                    for p_i, vec in eigenstates)])
+        for i in range(len(stack))
+    ])
 
 
 def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -528,7 +580,7 @@ def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
     part = partitioned_repertoire(sys, mechanism, purview, theta, direction)
     if part is None:
         return math.inf
-    return _phi_against(part, eigenstates, sys.tol)
+    return float(_phi_against(part.data[np.newaxis], eigenstates, sys.tol)[0])
 
 
 def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -543,25 +595,39 @@ def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
                       intrinsic_information, _score_partitions)
 
 
+#: Partitions scored per numpy pass; a constant block keeps the product
+#: stack, and so peak memory, small whatever the shape.
+_BLOCK = 32
+
+
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
                       purview: tuple[int, ...], direction: Direction,
                       eigenstates: Sequence[tuple[float, np.ndarray]], shape: PartitionShape,
                       parts: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
     """``phi`` of every partition of ``shape``, in canonical order.
 
-    Each distinct part's density matrix is built once; a partition's
-    repertoire is the tensor product of its parts', assembled as in
-    ``partitioned_repertoire``, so each value equals ``phi``.
+    Each mechanism part is reduced once and each distinct part's density
+    matrix built once, then read into the purview's layout (``_gather``).
+    Partitions are scored ``_BLOCK`` at a time: one stack of their tensor
+    products (``_assemble``), checked like any ``DensityMatrix`` and
+    decomposed by one batched ``eigh``.  A partition with an empty part cause
+    repertoire scores +inf.  Each value equals ``phi`` bit for bit.
     """
-    rhos = {j: _part_rho(sys, mechanism, m_part, z_part, direction)
-            for j, (m_part, z_part) in enumerate(parts) if z_part}
-    values = np.empty(len(shape.slots))
-    for i, row in enumerate(shape.slots.tolist()):
-        factors = [(parts[j][1], rhos[j]) for j in row if j in rhos]
-        if any(rho is None for _, rho in factors):
-            values[i] = math.inf
-        else:
-            values[i] = _phi_against(_assemble(purview, factors, sys.tol), eigenstates, sys.tol)
+    reduced = {m: _reduce(sys, mechanism, m) for m in dict.fromkeys(m for m, z in parts if z)}
+    factors: list[Optional[tuple[tuple[int, ...], np.ndarray]]] = []
+    empty = np.zeros(len(parts) + 1, dtype=bool)  # the last entry is the padding slot
+    for j, (m_part, z_part) in enumerate(parts):
+        rho = _part_rho(sys, reduced[m_part], z_part, direction) if z_part else None
+        empty[j] = bool(z_part) and rho is None
+        factors.append(None if rho is None else (z_part, rho.data))
+    table, used = _gather(purview, factors)
+    values = np.full(len(shape.slots), math.inf)
+    scored = np.flatnonzero(~empty[shape.slots].any(axis=1))
+    for start in range(0, len(scored), _BLOCK):
+        rows = scored[start:start + _BLOCK]
+        stack = _assemble(table, used, shape.slots[rows])
+        check_density_matrices(stack, sys.tol)
+        values[rows] = _phi_against(stack, eigenstates, sys.tol)
     return values
 
 

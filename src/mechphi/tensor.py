@@ -52,6 +52,34 @@ def _check_dims(dims: Sequence[int] | None, dim: int) -> tuple[int, ...]:
     return dims
 
 
+def check_density_matrices(stack: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """Raise ``ValidationError`` unless every matrix of ``stack`` (n, d, d) is a state.
+
+    The checks, in order: finite entries, Hermitian within ``tol``, unit trace
+    within ``tol`` and no eigenvalue of the Hermitian part below ``-tol``.  The
+    first failing matrix, and its first failing check, name the error.
+    """
+    if not np.isfinite(stack).all():
+        first = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+        if first:
+            check_density_matrices(stack[:first], tol)
+        raise ValidationError("density matrix contains non-finite entries")
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).reshape(len(stack), -1).max(axis=1)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    lo = np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1))).min(axis=1)
+    failed = (herm > tol) | (np.abs(tr - 1.0) > tol) | (lo < -tol)
+    if not failed.any():
+        return
+    i = int(np.argmax(failed))
+    if herm[i] > tol:
+        raise ValidationError(
+            f"not Hermitian: max |rho - rho^dag| = {herm[i]:.3e} exceeds tol {tol:.1e}"
+        )
+    if abs(tr[i] - 1.0) > tol:
+        raise ValidationError(f"trace is {complex(tr[i]):.12g}, expected 1 within tol {tol:.1e}")
+    raise ValidationError(f"not positive semidefinite: min eigenvalue {lo[i]:.3e} below -tol")
+
+
 class DensityMatrix:
     """A validated density matrix with an explicit subsystem factorization.
 
@@ -63,22 +91,8 @@ class DensityMatrix:
 
     def __init__(self, data, dims: Sequence[int] | None = None, tol: float = DEFAULT_TOL):
         arr = _as_matrix(data)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("density matrix contains non-finite entries")
         dims = _check_dims(dims, arr.shape[0])
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm > tol:
-            raise ValidationError(
-                f"not Hermitian: max |rho - rho^dag| = {herm:.3e} exceeds tol {tol:.1e}"
-            )
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > tol:
-            raise ValidationError(f"trace is {tr:.12g}, expected 1 within tol {tol:.1e}")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))))
-        if lo < -tol:
-            raise ValidationError(
-                f"not positive semidefinite: min eigenvalue {lo:.3e} below -tol"
-            )
+        check_density_matrices(arr[np.newaxis], tol)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -221,9 +235,8 @@ def hermitian_eig(rho, tol: float = DEFAULT_TOL,
         raise NumericError(
             f"hermitian_eig: input not Hermitian (residual {herm:.3e} > tol {tol:.1e})"
         )
-    w, v = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    order = np.argsort(-w, kind="stable")
-    w, v = w[order], v[:, order]
+    w, v = eigh_descending(arr[np.newaxis])
+    w, v = w[0], v[0]
     groups: list[tuple[int, ...]] = []
     current = [0]
     for i in range(1, len(w)):
@@ -234,11 +247,21 @@ def hermitian_eig(rho, tol: float = DEFAULT_TOL,
             current = [i]
     if len(w):
         groups.append(tuple(current))
-    w = w.copy()
     w.setflags(write=False)
-    v = np.ascontiguousarray(v)
     v.setflags(write=False)
     return EigenDecomposition(w, v, tuple(groups))
+
+
+def eigh_descending(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part of each matrix of ``stack`` (n, d, d).
+
+    Each row of eigenvalues is sorted descending by a stable argsort, and the
+    eigenvector columns follow; both arrays are new and C-contiguous.
+    """
+    w, v = np.linalg.eigh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))
+    order = np.argsort(-w, axis=1, kind="stable")
+    return (np.take_along_axis(w, order, axis=1),
+            np.take_along_axis(v, order[:, np.newaxis, :], axis=2))
 
 
 def purity(rho) -> float:

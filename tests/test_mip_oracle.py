@@ -2,16 +2,20 @@
 
 ``oracle_mip`` and ``oracle_quantum_mip`` are the searches as first written:
 enumerate every disintegrating partition, score each with ``phi`` and keep
-the smallest (phi / severed pairs, phi, enumeration index).  ``classical.mip``
-and ``quantum.mip`` must pick the same partition and return the same value,
-bit for bit, on every (mechanism, purview) pair of random and deterministic
-systems.
+the smallest (phi / severed pairs, phi, enumeration index).  The quantum
+oracle also keeps the literal partitioned repertoire: each part's reduction
+and repertoire, ``np.kron`` of the parts, a permutation into purview order,
+a ``DensityMatrix`` and one ``hermitian_eig`` per partition.
+``classical.mip`` and ``quantum.mip`` must pick the same partition and return
+the same value, bit for bit, on every (mechanism, purview) pair of random and
+deterministic systems.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from hypothesis import strategies as st
 from conftest import CNOT, GHZ, S2, W, pure, random_density, random_permutation_tpm, random_unitary
 from mechphi import classical as cl
 from mechphi import quantum as qm
-from mechphi.search import all_subsets
+from mechphi.errors import ValidationError
 from mechphi.partitions import DisintegratingPartition, enumerate_disintegrating, normalization
+from mechphi.search import all_subsets
+from mechphi.tensor import DensityMatrix, hermitian_eig, partial_trace, permute_subsystems
 
 
 def oracle_mip(sys, mechanism, purview, direction, tie_tol=cl.DEFAULT_TOL):
@@ -165,7 +171,63 @@ def test_empty_part_repertoire_scores_infinite(monkeypatch):
     assert_every_pair_matches(system, (1, 0))
 
 
-def oracle_quantum_mip(sys, mechanism, purview, direction, tie_tol=qm.DEFAULT_TOL):
+def oracle_assemble(purview, factors, tol):
+    """Tensor factors over disjoint qubit groups into ascending purview order."""
+    order: list[int] = []
+    arr = np.ones((1, 1), dtype=complex)
+    for qubits, rho in factors:
+        order.extend(qubits)
+        arr = np.kron(arr, rho.data)
+    positions = [list(purview).index(q) for q in order]
+    arr = permute_subsystems(arr, (2,) * len(purview), positions)
+    return DensityMatrix(arr, dims=(2,) * len(purview), tol=tol)
+
+
+def oracle_effect_rho(sys, mechanism, purview):
+    """The effect repertoire's matrix, its blocks tensored by ``oracle_assemble``."""
+    out = qm.conditioned_output(sys, mechanism, purview, "effect")
+    structure = qm.entanglement_partition(out, tol=sys.tol)
+    if structure.r == 1:
+        return out
+    factors = [(tuple(purview[i] for i in block), partial_trace(out, block, tol=sys.tol))
+               for block in structure.blocks]
+    return oracle_assemble(purview, factors, sys.tol)
+
+
+def oracle_part_rho(sys, mechanism, m_part, z_part, direction):
+    if not m_part:
+        return DensityMatrix.maximally_mixed(len(z_part))
+    positions = [mechanism.qubits.index(q) for q in m_part]
+    sub_state = (
+        mechanism.state if len(m_part) == len(mechanism.qubits)
+        else partial_trace(mechanism.state, positions, tol=sys.tol)
+    )
+    rep = qm._repertoire(sys, qm.QuantumMechanism(m_part, sub_state), z_part, direction)
+    return None if rep is None else rep.rho
+
+
+def oracle_partitioned_repertoire(sys, mechanism, purview, theta, direction):
+    purview = sys._check_qubits(purview, "purview")
+    factors = []
+    for m_part, z_part in theta.parts:
+        if not z_part:
+            continue
+        rho = oracle_part_rho(sys, mechanism, m_part, z_part, direction)
+        if rho is None:
+            return None
+        factors.append((z_part, rho))
+    return oracle_assemble(purview, factors, sys.tol)
+
+
+def oracle_phi_against(part, eigenstates, tol):
+    es = hermitian_eig(part.data, tol=tol)
+    q = np.clip(es.eigenvalues, 0.0, None)
+    return max([0.0, *(qm._eigen_score(p_i, np.abs(vec.conj() @ es.eigenvectors) ** 2, q, tol)
+                        for p_i, vec in eigenstates)])
+
+
+def oracle_quantum_mip(sys, mechanism, purview, direction, parts, tie_tol=qm.DEFAULT_TOL):
+    """``parts`` holds every partition's oracle partitioned repertoire, in enumeration order."""
     purview = sys._check_qubits(purview, "purview")
     thetas = enumerate_disintegrating(mechanism.qubits, purview)
     _, eigenstates = qm.intrinsic_information(sys, mechanism, purview, direction, tie_tol)
@@ -174,7 +236,8 @@ def oracle_quantum_mip(sys, mechanism, purview, direction, tie_tol=qm.DEFAULT_TO
     best_key = None
     best: tuple[DisintegratingPartition, float] = (thetas[0], math.inf)
     for idx, theta in enumerate(thetas):
-        value = qm.phi(sys, mechanism, purview, theta, direction, eigenstates, tie_tol)
+        part = parts[idx]
+        value = math.inf if part is None else oracle_phi_against(part, eigenstates, sys.tol)
         norm = normalization(theta, mechanism.qubits, purview)
         key = (value / norm, value, idx)
         if best_key is None or key < best_key:
@@ -191,8 +254,19 @@ def assert_every_quantum_pair_matches(unitary, rho):
         for qubits in subsets:
             mech = system.mechanism(qubits, base)
             for purview in subsets:
+                if direction == "effect":
+                    got = qm.effect_repertoire(system, mech, purview).rho
+                    want = oracle_effect_rho(system, mech, purview)
+                    assert got.data.tobytes() == want.data.tobytes(), (qubits, purview)
+                thetas = enumerate_disintegrating(qubits, purview)
+                parts = [oracle_partitioned_repertoire(system, mech, purview, theta, direction)
+                         for theta in thetas]
+                for theta, want in zip(thetas, parts):
+                    got = qm.partitioned_repertoire(system, mech, purview, theta, direction)
+                    assert (got is None and want is None
+                            or got.data.tobytes() == want.data.tobytes()), theta
                 got_theta, got_value = qm.mip(system, mech, purview, direction)
-                want_theta, want_value = oracle_quantum_mip(system, mech, purview, direction)
+                want_theta, want_value = oracle_quantum_mip(system, mech, purview, direction, parts)
                 assert got_theta == want_theta, (direction, qubits, purview)
                 assert got_value == want_value, (direction, qubits, purview)
 
@@ -244,3 +318,23 @@ def test_quantum_empty_part_repertoire_scores_infinite(monkeypatch):
     theta, value = qm.mip(system, mech, (0, 1), "cause")
     assert theta != cut and value < math.inf
     assert_every_quantum_pair_matches(CNOT, rho)
+
+
+@pytest.mark.parametrize("part, message", [
+    pytest.param(lambda dim: np.eye(dim) / dim + 0.1 * np.triu(np.ones((dim, dim)), 1),
+                 "not Hermitian", id="unit-trace-not-hermitian"),
+    pytest.param(lambda dim: np.diag([1.5, -0.5] + [0.0] * (dim - 2)),
+                 "not positive semidefinite", id="hermitian-negative-eigenvalue"),
+])
+def test_quantum_mip_checks_every_partitioned_repertoire(monkeypatch, part, message):
+    """A part repertoire that is not a state stops the search, as ``DensityMatrix`` would."""
+    system = qm.QuantumSystem(CNOT)
+    mech = system.mechanism((0, 1), pure([0, 0, 1, 0]))
+
+    def bad_part_rho(*args):
+        z_part = args[-2]
+        return SimpleNamespace(data=part(2 ** len(z_part)).astype(complex))
+
+    monkeypatch.setattr(qm, "_part_rho", bad_part_rho)
+    with pytest.raises(ValidationError, match=message):
+        qm.mip(system, mech, (0, 1), "effect")
