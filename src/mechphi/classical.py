@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -26,7 +27,6 @@ from . import search
 from .errors import ValidationError
 from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
-    PartitionShape,
     enumerate_disintegrating,
 )
 from .search import CAUSE, EFFECT, Direction
@@ -128,23 +128,21 @@ class ClassicalSystem:
         self._states = np.array(
             list(product(*[range(c) for c in self.unit_state_counts])), dtype=int
         )
-        # cond[i][s, v] = p(unit i takes value v at t+1 | source state s)
-        self._cond = []
-        for i, c in enumerate(self.unit_state_counts):
-            cols = np.stack(
-                [tpm[:, self._states[:, i] == v].sum(axis=1) for v in range(c)], axis=1
-            )
-            self._cond.append(cols)
-
+        cols = [
+            np.stack([tpm[:, self._states[:, i] == v].sum(axis=1) for v in range(c)], axis=1)
+            for i, c in enumerate(self.unit_state_counts)
+        ]
         recon = np.ones_like(tpm)
         for i in range(self.n_units):
-            recon *= self._cond[i][:, self._states[:, i]]
+            recon *= cols[i][:, self._states[:, i]]
         resid = float(np.max(np.abs(recon - tpm)))
         if resid > max(tol, 1e-12):
             raise ValidationError(
                 "units are not conditionally independent given the source state "
                 f"(max residual {resid:.3e})"
             )
+        # cond[i][s_0, ..., s_{n-1}, v] = p(unit i takes value v at t+1 | source state s)
+        self._cond = [c.reshape(self.unit_state_counts + (-1,)) for c in cols]
 
         if background is None:
             self.background_units: tuple[int, ...] = ()
@@ -181,16 +179,16 @@ class ClassicalSystem:
             if s < 0 or s >= self.unit_state_counts[u]:
                 raise ValidationError(f"state {s} invalid for unit {u}")
 
-    def _rows_matching(self, fixed: dict[int, int]) -> np.ndarray:
-        mask = np.ones(self.num_states, dtype=bool)
-        for u, v in fixed.items():
-            mask &= self._states[:, u] == v
-        return np.nonzero(mask)[0]
+    def _pin(self, units: Sequence[int], state: Sequence[int]) -> tuple:
+        """Conditional-tensor index fixing the background and ``units`` at ``state``.
 
-    def _fixed_with_background(self, mech: Mechanism) -> dict[int, int]:
-        fixed = dict(zip(self.background_units, self.background_state))
-        fixed.update(zip(mech.units, mech.state))
-        return fixed
+        Averaging over the source axes left free marginalizes those units.
+        """
+        index: list = [slice(None)] * self.n_units
+        for u, s in zip(self.background_units + tuple(units),
+                        self.background_state + tuple(state)):
+            index[u] = s
+        return tuple(index)
 
     def subset_states(self, units: Sequence[int]) -> list[tuple[int, ...]]:
         """All assignments over ``units`` (ascending), big-endian order."""
@@ -205,26 +203,21 @@ class ClassicalSystem:
 
 def effect_repertoire_single(sys: ClassicalSystem, mechanism: Mechanism,
                              unit: int) -> ClassicalRepertoire:
-    """Distribution the mechanism fixes over one unit's next state.
-
-    Units outside the mechanism are causally marginalized: the source state
-    is averaged over them with uniform interventional weight.
-    """
-    units = sys._check_units(mechanism.units, "mechanism")
-    sys._check_state(mechanism)
-    (unit,) = sys._check_units([unit], "purview")
-    rows = sys._rows_matching(sys._fixed_with_background(mechanism))
-    return ClassicalRepertoire((unit,), sys._cond[unit][rows].mean(axis=0))
+    """Distribution the mechanism fixes over one unit's next state."""
+    return effect_repertoire(sys, mechanism, (unit,))
 
 
 def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
                       purview: Iterable[int]) -> ClassicalRepertoire:
     """Product of single-unit effect repertoires over the purview.
 
-    The product form gives each purview unit an independent marginalized
-    input, which discounts correlations produced by shared inputs from
-    outside the mechanism.  An empty mechanism yields the per-unit average
-    over every source state (the fully marginalized effect repertoire).
+    Each unit's repertoire averages its conditional over the source states of
+    the units outside the mechanism and the background (causal
+    marginalization).  The product form gives each purview unit an
+    independent marginalized input, which discounts correlations produced by
+    shared inputs from outside the mechanism.  An empty mechanism yields the
+    per-unit average over every source state (the fully marginalized effect
+    repertoire).
     """
     purview = sys._check_units(purview, "purview")
     if not purview:
@@ -233,9 +226,13 @@ def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     hit = sys._memo.get(key)
     if hit is not None:
         return hit
-    probs = np.ones(1)
-    for u in purview:
-        probs = np.kron(probs, effect_repertoire_single(sys, mechanism, u).probabilities)
+    sys._check_units(mechanism.units, "mechanism")
+    sys._check_state(mechanism)
+    index = sys._pin(mechanism.units, mechanism.state)
+    marginals = [sys._cond[u][index].reshape(-1, sys.unit_state_counts[u]).mean(axis=0)
+                 for u in purview]
+    # The outer product, raveled, is np.kron of the factors bit for bit.
+    probs = reduce(np.multiply.outer, marginals).ravel()
     rep = ClassicalRepertoire(purview, probs)
     sys._memo[key] = rep
     return rep
@@ -280,26 +277,18 @@ def cause_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
         return sys._memo[key]
 
     z_states = sys.subset_states(purview)
-    row_sets = []
-    bg = dict(zip(sys.background_units, sys.background_state))
-    for z in z_states:
-        fixed = dict(bg)
-        fixed.update(zip(purview, z))
-        row_sets.append(sys._rows_matching(fixed))
-
+    pins = [sys._pin(purview, z) for z in z_states]
     result = np.ones(len(z_states))
     for u, v in zip(mechanism.units, mechanism.state):
-        factor = np.array([sys._cond[u][rows, v].mean() for rows in row_sets])
+        # One 1-D mean per purview state: a 2-D mean can round differently.
+        factor = np.array([sys._cond[u][pin + (v,)].ravel().mean() for pin in pins])
         total = float(factor.sum())
         if total <= 0.0:
-            sys._memo[key] = None
-            return None
+            break
         result *= factor / total
-    total = float(result.sum())
-    if total <= 0.0:
-        sys._memo[key] = None
-        return None
-    rep = ClassicalRepertoire(purview, result / total)
+    else:
+        total = float(result.sum())
+    rep = ClassicalRepertoire(purview, result / total) if total > 0.0 else None
     sys._memo[key] = rep
     return rep
 
@@ -390,20 +379,39 @@ def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
 # -- partitioned repertoires and phi --------------------------------------
 
 
-def _part_repertoire(sys: ClassicalSystem, mechanism: Mechanism, m_part: tuple[int, ...],
-                     z_part: tuple[int, ...], direction: Direction) -> Optional[np.ndarray]:
-    """Repertoire of one partition part over a nonempty ``z_part``, or None if empty.
+def _factor_table(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
+                  direction: Direction, parts: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                  states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each part's repertoire read at the purview ``states``, one row per part.
 
-    A part with an empty mechanism gets the fully marginalized effect
-    repertoire (effect side) or the uniform distribution (cause side).
+    Parts without a purview and the padding row ``len(parts)`` hold 1.0; a
+    part with an empty mechanism gets the fully marginalized repertoire.
+    Also returns which rows belong to a part whose cause repertoire is empty.
     """
-    sub = mechanism.restrict(m_part)
-    if direction == EFFECT:
-        return effect_repertoire(sys, sub, z_part).probabilities
-    if not m_part:
-        return unconstrained_cause(sys, z_part).probabilities
-    rep = cause_repertoire(sys, sub, z_part)
-    return None if rep is None else rep.probabilities
+    counts = [sys.unit_state_counts[u] for u in purview]
+    digits = np.unravel_index(states, counts)
+    subs = {m: mechanism.restrict(m) for m in dict.fromkeys(m for m, z in parts if z)}
+    factors = np.ones((len(parts) + 1, len(states)))
+    missing = np.zeros(len(parts) + 1, dtype=bool)
+    for j, (m_part, z_part) in enumerate(parts):
+        if not z_part:
+            continue
+        rep = _repertoire(sys, subs[m_part], z_part, direction)
+        if rep is None:
+            missing[j] = True
+            continue
+        on = [purview.index(u) for u in z_part]
+        index = np.ravel_multi_index([digits[i] for i in on], [counts[i] for i in on])
+        factors[j] = rep.probabilities[index]
+    return factors, missing
+
+
+def _products(factors: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Each row of ``slots``: the product of the factor rows it names, in slot order."""
+    q = factors[slots[:, 0]]
+    for column in slots.T[1:]:
+        q = q * factors[column]
+    return q
 
 
 def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
@@ -415,25 +423,12 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     part's cause repertoire is empty.
     """
     purview = sys._check_units(purview, "purview")
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for m_part, z_part in theta.parts:
-        if not z_part:
-            continue
-        dist = _part_repertoire(sys, mechanism, m_part, z_part, direction)
-        if dist is None:
-            return None
-        factors.append((z_part, dist))
-
-    z_states = sys.subset_states(purview)
-    result = np.ones(len(z_states))
-    pos = {u: i for i, u in enumerate(purview)}
-    for units, dist in factors:
-        idx = np.zeros(len(z_states), dtype=int)
-        for u in units:
-            stride = int(np.prod([sys.unit_state_counts[v] for v in units if v > u]))
-            idx += stride * np.array([z[pos[u]] for z in z_states])
-        result *= dist[idx]
-    return ClassicalRepertoire(purview, result)
+    n = int(np.prod([sys.unit_state_counts[u] for u in purview]))
+    factors, missing = _factor_table(sys, mechanism, purview, direction, list(theta.parts),
+                                     np.arange(n))
+    if missing.any():
+        return None
+    return ClassicalRepertoire(purview, _products(factors, np.arange(theta.k)[np.newaxis])[0])
 
 
 def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -446,16 +441,12 @@ def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     0 when the mechanism specifies nothing (empty cause repertoire).
     """
     purview = sys._check_units(purview, "purview")
-    rep = _repertoire(sys, mechanism, purview, direction)
-    if rep is None:
+    if _repertoire(sys, mechanism, purview, direction) is None:
         return 0.0
     if states is None:
         _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
-    part = partitioned_repertoire(sys, mechanism, purview, theta, direction)
-    if part is None:
-        return math.inf
-    return max([0.0, *(_pointwise(float(rep.probabilities[s]), float(part.probabilities[s]),
-                                  sys.tol) for s in states)])
+    return float(_score_partitions(sys, mechanism, purview, direction, states,
+                                   np.arange(theta.k)[np.newaxis], list(theta.parts))[0])
 
 
 def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -472,44 +463,28 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
 
 
 def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                      direction: Direction, states: tuple[int, ...], shape: PartitionShape,
+                      direction: Direction, states: Sequence[int], slots: np.ndarray,
                       parts: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
-    """``phi`` of every partition of ``shape``, in canonical order, in one pass.
+    """``phi`` of every partition ``slots`` lists, in one pass.
 
-    Each distinct part's repertoire is read at the intrinsic states into one
-    row of a factor table; a partition's q is the product of its parts' rows,
-    taken in part order, so it equals ``partitioned_repertoire`` bit for bit,
-    and each value equals ``phi`` at the same states.
+    The partitioned repertoire q of each row is read only at the intrinsic
+    states in the support of p, from the factor table ``partitioned_repertoire``
+    also uses, so the two agree bit for bit.  Each value is the largest
+    p * log2(p / q) over those states, floored at 0; +inf where q has no
+    support or a part's cause repertoire is empty.
     """
     p = _repertoire(sys, mechanism, purview, direction).probabilities
     live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
-    counts = np.array([sys.unit_state_counts[u] for u in purview])
-    digits = np.array(np.unravel_index(live, counts)).reshape(len(purview), len(live))
-
-    # Parts without a purview and the padding slot past the last part keep 1.0.
-    factors = np.ones((len(parts) + 1, len(live)))
-    missing = np.zeros(len(parts) + 1, dtype=bool)
-    for j, (m_part, z_part) in enumerate(parts):
-        if not z_part:
-            continue
-        dist = _part_repertoire(sys, mechanism, m_part, z_part, direction)
-        if dist is None:
-            missing[j] = True
-            continue
-        on = shape.part_z[j]
-        factors[j] = dist[np.ravel_multi_index(digits[on], counts[on])]
-
-    q = factors[shape.slots[:, 0]]
-    for column in shape.slots.T[1:]:
-        q = q * factors[column]
+    factors, missing = _factor_table(sys, mechanism, purview, direction, parts, live)
+    q = _products(factors, slots)
     supported = q > sys.tol
     ratio = np.divide(p[live], q, out=np.ones_like(q), where=supported)
     # math.log2 rather than np.log2: numpy's SIMD log2 can differ from libm in
-    # the last bit, and ``phi`` scores single partitions with math.log2.
+    # the last bit, and ``intrinsic_difference`` scores with math.log2.
     logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), float, ratio.size)
     scores = np.where(supported, p[live] * logs.reshape(ratio.shape), math.inf)
     values = scores.max(axis=1, initial=0.0)
-    values[missing[shape.slots].any(axis=1)] = math.inf
+    values[missing[slots].any(axis=1)] = math.inf
     return values
 
 

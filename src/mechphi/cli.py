@@ -14,6 +14,7 @@ from .report import parse_request, render, run
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -98,6 +99,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
+    except Exception as exc:  # last resort: one line, never a traceback
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from . import search
 from .errors import ValidationError
 from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
-    PartitionShape,
     SetPartition,
     enumerate_disintegrating,
     enumerate_set_partitions,
@@ -154,8 +154,18 @@ class QuantumSystem:
         return QuantumMechanism(qubits, partial_trace(system_state, qubits, tol=self.tol))
 
 
+@cache
+def _mixed_states() -> dict[int, DensityMatrix]:
+    """I/d for every supported qubit count, validated once and shared.
+
+    All are built at the first call, so only the first quantum analysis of a
+    process builds any, whatever its qubit count.
+    """
+    return {n: DensityMatrix.maximally_mixed(n) for n in (1, 2, 3)}
+
+
 def _maximally_mixed(purview: Sequence[int]) -> DensityMatrix:
-    return DensityMatrix.maximally_mixed(len(purview))
+    return _mixed_states()[len(purview)]
 
 
 def _check_mechanism(sys: QuantumSystem, mechanism: QuantumMechanism) -> tuple[int, ...]:
@@ -577,10 +587,8 @@ def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
         _, eigenstates = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
     if eigenstates is None:
         return 0.0
-    part = partitioned_repertoire(sys, mechanism, purview, theta, direction)
-    if part is None:
-        return math.inf
-    return float(_phi_against(part.data[np.newaxis], eigenstates, sys.tol)[0])
+    return float(_score_partitions(sys, mechanism, purview, direction, eigenstates,
+                                   np.arange(theta.k)[np.newaxis], list(theta.parts))[0])
 
 
 def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -602,16 +610,16 @@ _BLOCK = 32
 
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
                       purview: tuple[int, ...], direction: Direction,
-                      eigenstates: Sequence[tuple[float, np.ndarray]], shape: PartitionShape,
+                      eigenstates: Sequence[tuple[float, np.ndarray]], slots: np.ndarray,
                       parts: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
-    """``phi`` of every partition of ``shape``, in canonical order.
+    """``phi`` of every partition ``slots`` lists (see ``search.mip``).
 
     Each mechanism part is reduced once and each distinct part's density
     matrix built once, then read into the purview's layout (``_gather``).
     Partitions are scored ``_BLOCK`` at a time: one stack of their tensor
     products (``_assemble``), checked like any ``DensityMatrix`` and
     decomposed by one batched ``eigh``.  A partition with an empty part cause
-    repertoire scores +inf.  Each value equals ``phi`` bit for bit.
+    repertoire scores +inf.  ``phi`` is the one-row case.
     """
     reduced = {m: _reduce(sys, mechanism, m) for m in dict.fromkeys(m for m, z in parts if z)}
     factors: list[Optional[tuple[tuple[int, ...], np.ndarray]]] = []
@@ -621,11 +629,11 @@ def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
         empty[j] = bool(z_part) and rho is None
         factors.append(None if rho is None else (z_part, rho.data))
     table, used = _gather(purview, factors)
-    values = np.full(len(shape.slots), math.inf)
-    scored = np.flatnonzero(~empty[shape.slots].any(axis=1))
+    values = np.full(len(slots), math.inf)
+    scored = np.flatnonzero(~empty[slots].any(axis=1))
     for start in range(0, len(scored), _BLOCK):
         rows = scored[start:start + _BLOCK]
-        stack = _assemble(table, used, shape.slots[rows])
+        stack = _assemble(table, used, slots[rows])
         check_density_matrices(stack, sys.tol)
         values[rows] = _phi_against(stack, eigenstates, sys.tol)
     return values

@@ -357,7 +357,15 @@ _LETTERS = string.ascii_uppercase
 
 
 def _unit_label(unit: int, layer: int, n_units: int) -> str:
-    return _LETTERS[unit + layer * n_units]
+    """A to Z while both layers fit, else fixed-width base-26 letter groups.
+
+    A fixed width keeps labels unambiguous when joined: with 14 units, unit
+    0 at t is AA and unit 13 at t+1 is BB.
+    """
+    index, width = unit + layer * n_units, 1
+    while 26 ** width < 2 * n_units:
+        width += 1
+    return "".join(_LETTERS[index // 26 ** k % 26] for k in reversed(range(width)))
 
 
 def _units_label(units: Sequence[int], layer: int, n: int) -> str:

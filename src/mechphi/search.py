@@ -48,15 +48,17 @@ def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
 
     Ties go to the smaller unnormalized phi, then to canonical enumeration
     order.  ``score_partitions(sys, mechanism, purview, direction, states,
-    shape, parts)`` returns the phi of every partition of ``shape`` in
-    canonical order.  Without intrinsic states the first partition scores 0.
+    slots, parts)`` returns the phi of every partition ``slots`` lists: row
+    ``i`` names partition ``i``'s parts as indices into ``parts``, padded
+    with ``len(parts)``.  Without intrinsic states the first partition
+    scores 0.
     """
     shape = partition_shape(len(m_units), len(purview))
     parts = shape.relabel(m_units, purview)
     _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
     if states is None:
         return shape.partition(0, parts), 0.0
-    values = score_partitions(sys, mechanism, purview, direction, states, shape, parts)
+    values = score_partitions(sys, mechanism, purview, direction, states, shape.slots, parts)
     # lexsort is stable: equal (value / norm, value) keys keep enumeration order.
     best = int(np.lexsort((values, values / shape.norms))[0])
     return shape.partition(best, parts), float(values[best])

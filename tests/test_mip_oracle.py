@@ -1,19 +1,23 @@
-"""Both backends' MIP search against the literal per-partition loop.
+"""Both backends' repertoires and MIP search against the literal code they replaced.
 
+``LiteralClassical`` holds the classical repertoires as first written: boolean
+row masks over the flat TPM, an ``np.kron`` chain for effect repertoires, a
+stride loop for partitioned repertoires and a scalar ``phi``.
 ``oracle_mip`` and ``oracle_quantum_mip`` are the searches as first written:
-enumerate every disintegrating partition, score each with ``phi`` and keep
-the smallest (phi / severed pairs, phi, enumeration index).  The quantum
-oracle also keeps the literal partitioned repertoire: each part's reduction
-and repertoire, ``np.kron`` of the parts, a permutation into purview order,
-a ``DensityMatrix`` and one ``hermitian_eig`` per partition.
-``classical.mip`` and ``quantum.mip`` must pick the same partition and return
-the same value, bit for bit, on every (mechanism, purview) pair of random and
-deterministic systems.
+enumerate every disintegrating partition, score each on its own and keep the
+smallest (phi / severed pairs, phi, enumeration index).  The quantum oracle
+also keeps the literal partitioned repertoire: each part's reduction and
+repertoire, ``np.kron`` of the parts, a permutation into purview order, a
+``DensityMatrix`` and one ``hermitian_eig`` per partition.  Repertoires,
+partitioned repertoires, minimum partitions and their values must agree bit
+for bit on every (mechanism, purview) pair of random and deterministic
+systems, with and without background units.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import product
 from types import SimpleNamespace
 
@@ -31,22 +35,177 @@ from mechphi.search import all_subsets
 from mechphi.tensor import DensityMatrix, hermitian_eig, partial_trace, permute_subsystems
 
 
+class LiteralClassical:
+    """One system's classical repertoires, computed row by row on the flat TPM."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.states = np.array(
+            list(product(*[range(c) for c in sys.unit_state_counts])), dtype=int
+        )
+        # cond[i][s, v] = p(unit i takes value v at t+1 | source state s)
+        self.cond = []
+        for i, c in enumerate(sys.unit_state_counts):
+            cols = np.stack(
+                [sys.tpm[:, self.states[:, i] == v].sum(axis=1) for v in range(c)], axis=1
+            )
+            self.cond.append(cols)
+        self.memo: dict = {}
+
+    def rows_matching(self, fixed):
+        mask = np.ones(self.sys.num_states, dtype=bool)
+        for u, v in fixed.items():
+            mask &= self.states[:, u] == v
+        return np.nonzero(mask)[0]
+
+    def fixed_with_background(self, mech):
+        fixed = dict(zip(self.sys.background_units, self.sys.background_state))
+        fixed.update(zip(mech.units, mech.state))
+        return fixed
+
+    def effect_repertoire_single(self, mechanism, unit):
+        rows = self.rows_matching(self.fixed_with_background(mechanism))
+        return self.cond[unit][rows].mean(axis=0)
+
+    def effect_repertoire(self, mechanism, purview):
+        key = ("er", mechanism, purview)
+        if key not in self.memo:
+            probs = np.ones(1)
+            for u in purview:
+                probs = np.kron(probs, self.effect_repertoire_single(mechanism, u))
+            self.memo[key] = probs
+        return self.memo[key]
+
+    def unconstrained_effect(self, purview, mechanism_units):
+        acc = np.zeros(int(np.prod([self.sys.unit_state_counts[u] for u in purview])))
+        states = self.sys.subset_states(mechanism_units)
+        for st_ in states:
+            acc += self.effect_repertoire(cl.Mechanism(mechanism_units, st_), purview)
+        return acc / len(states)
+
+    def unconstrained_cause(self, purview):
+        n = int(np.prod([self.sys.unit_state_counts[u] for u in purview]))
+        return np.full(n, 1.0 / n)
+
+    def cause_repertoire(self, mechanism, purview):
+        if not mechanism.units:
+            return self.unconstrained_cause(purview)
+        key = ("cr", mechanism, purview)
+        if key not in self.memo:
+            self.memo[key] = self._cause(mechanism, purview)
+        return self.memo[key]
+
+    def _cause(self, mechanism, purview):
+        sys = self.sys
+        z_states = sys.subset_states(purview)
+        row_sets = []
+        bg = dict(zip(sys.background_units, sys.background_state))
+        for z in z_states:
+            fixed = dict(bg)
+            fixed.update(zip(purview, z))
+            row_sets.append(self.rows_matching(fixed))
+
+        result = np.ones(len(z_states))
+        for u, v in zip(mechanism.units, mechanism.state):
+            factor = np.array([self.cond[u][rows, v].mean() for rows in row_sets])
+            total = float(factor.sum())
+            if total <= 0.0:
+                return None
+            result *= factor / total
+        total = float(result.sum())
+        return None if total <= 0.0 else result / total
+
+    def repertoire(self, mechanism, purview, direction):
+        if direction == "effect":
+            return self.effect_repertoire(mechanism, purview)
+        return self.cause_repertoire(mechanism, purview)
+
+    def intrinsic_information(self, mechanism, purview, direction, tie_tol=cl.DEFAULT_TOL):
+        rep = self.repertoire(mechanism, purview, direction)
+        if rep is None:
+            return 0.0, None
+        baseline = (self.unconstrained_effect(purview, mechanism.units) if direction == "effect"
+                    else self.unconstrained_cause(purview))
+        return cl.intrinsic_difference(rep, baseline, support_tol=self.sys.tol, tie_tol=tie_tol)
+
+    def part_repertoire(self, mechanism, m_part, z_part, direction):
+        sub = mechanism.restrict(m_part)
+        if direction == "effect":
+            return self.effect_repertoire(sub, z_part)
+        return self.cause_repertoire(sub, z_part)
+
+    def partitioned_repertoire(self, mechanism, purview, theta, direction):
+        key = ("pr", mechanism, purview, theta, direction)
+        if key not in self.memo:
+            self.memo[key] = self._partitioned(mechanism, purview, theta, direction)
+        return self.memo[key]
+
+    def _partitioned(self, mechanism, purview, theta, direction):
+        sys = self.sys
+        factors = []
+        for m_part, z_part in theta.parts:
+            if not z_part:
+                continue
+            dist = self.part_repertoire(mechanism, m_part, z_part, direction)
+            if dist is None:
+                return None
+            factors.append((z_part, dist))
+
+        z_states = sys.subset_states(purview)
+        result = np.ones(len(z_states))
+        pos = {u: i for i, u in enumerate(purview)}
+        for units, dist in factors:
+            idx = np.zeros(len(z_states), dtype=int)
+            for u in units:
+                stride = int(np.prod([sys.unit_state_counts[v] for v in units if v > u]))
+                idx += stride * np.array([z[pos[u]] for z in z_states])
+            result *= dist[idx]
+        return result
+
+    def phi(self, mechanism, purview, theta, direction, states):
+        rep = self.repertoire(mechanism, purview, direction)
+        if rep is None:
+            return 0.0
+        part = self.partitioned_repertoire(mechanism, purview, theta, direction)
+        if part is None:
+            return math.inf
+        return max([0.0, *(cl._pointwise(float(rep[s]), float(part[s]), self.sys.tol)
+                           for s in states)])
+
+
+_literal: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def literal(sys) -> LiteralClassical:
+    if sys not in _literal:
+        _literal[sys] = LiteralClassical(sys)
+    return _literal[sys]
+
+
 def oracle_mip(sys, mechanism, purview, direction, tie_tol=cl.DEFAULT_TOL):
+    lit = literal(sys)
     purview = sys._check_units(purview, "purview")
     thetas = enumerate_disintegrating(mechanism.units, purview)
-    _, states = cl.intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+    _, states = lit.intrinsic_information(mechanism, purview, direction, tie_tol)
     if states is None:
         return thetas[0], 0.0
     best_key = None
     best: tuple[DisintegratingPartition, float] = (thetas[0], math.inf)
     for idx, theta in enumerate(thetas):
-        value = cl.phi(sys, mechanism, purview, theta, direction, states, tie_tol)
+        value = lit.phi(mechanism, purview, theta, direction, states)
         norm = normalization(theta, mechanism.units, purview)
         key = (value / norm, value, idx)
         if best_key is None or key < best_key:
             best_key = key
             best = (theta, value)
     return best
+
+
+def same_bytes(got, want) -> bool:
+    """Both None, or arrays equal byte for byte."""
+    if got is None or want is None:
+        return got is None and want is None
+    return got.tobytes() == want.tobytes()
 
 
 def tpm_from_units(counts, conds):
@@ -60,8 +219,12 @@ def tpm_from_units(counts, conds):
 
 
 @st.composite
-def networks(draw, min_units=2, max_units=3):
-    """Random units mixed with deterministic copy and constant units."""
+def networks(draw, min_units=2, max_units=3, background=0):
+    """Random units mixed with deterministic copy and constant units.
+
+    ``background`` units, drawn at random, are clamped to their entry of the
+    returned state.
+    """
     n = draw(st.integers(min_units, max_units))
     counts = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
     states = list(product(*[range(c) for c in counts]))
@@ -80,21 +243,43 @@ def networks(draw, min_units=2, max_units=3):
         else:
             cond[:, draw(st.integers(0, c - 1))] = 1.0
         conds.append(cond)
-    system = cl.ClassicalSystem(counts, tpm_from_units(counts, conds))
     state = tuple(draw(st.integers(0, c - 1)) for c in counts)
+    clamped = None
+    if background:
+        units = draw(st.lists(st.integers(0, n - 1), min_size=background,
+                              max_size=background, unique=True))
+        clamped = (units, [state[u] for u in units])
+    system = cl.ClassicalSystem(counts, tpm_from_units(counts, conds), background=clamped)
     return system, state
 
 
 def assert_every_pair_matches(system, state):
+    """Repertoires, partitioned repertoires and the MIP equal the literal code exactly."""
+    lit = literal(system)
     subsets = all_subsets(system.candidate_units)
     for direction in ("effect", "cause"):
         for units in subsets:
             mech = cl.Mechanism(units, system.state_of(state, units))
             for purview in subsets:
+                where = (direction, units, purview)
+                if direction == "effect":
+                    got = cl.effect_repertoire(system, mech, purview).probabilities
+                    assert same_bytes(got, lit.effect_repertoire(mech, purview)), where
+                    got = cl.unconstrained_effect(system, purview, units).probabilities
+                    assert same_bytes(got, lit.unconstrained_effect(purview, units)), where
+                else:
+                    got = cl.cause_repertoire(system, mech, purview)
+                    assert same_bytes(got and got.probabilities,
+                                      lit.cause_repertoire(mech, purview)), where
+                for theta in enumerate_disintegrating(units, purview):
+                    got = cl.partitioned_repertoire(system, mech, purview, theta, direction)
+                    want = lit.partitioned_repertoire(mech, purview, theta, direction)
+                    assert same_bytes(got and got.probabilities, want), (where, theta)
                 got_theta, got_value = cl.mip(system, mech, purview, direction)
                 want_theta, want_value = oracle_mip(system, mech, purview, direction)
-                assert got_theta == want_theta, (direction, units, purview)
-                assert got_value == want_value, (direction, units, purview)
+                assert got_theta == want_theta, where
+                assert got_value == want_value, where
+                assert cl.phi(system, mech, purview, got_theta, direction) == want_value, where
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,6 +291,20 @@ def test_mip_matches_loop_on_small_networks(net):
 @settings(max_examples=2, deadline=None)
 @given(networks(min_units=4, max_units=4).filter(lambda net: net[0].num_states <= 24))
 def test_mip_matches_loop_on_four_units(net):
+    assert_every_pair_matches(*net)
+
+
+@settings(max_examples=20, deadline=None)
+@given(networks(min_units=3, max_units=4, background=1)
+       .filter(lambda net: net[0].num_states <= 24))
+def test_mip_matches_loop_with_one_background_unit(net):
+    assert_every_pair_matches(*net)
+
+
+@settings(max_examples=15, deadline=None)
+@given(networks(min_units=3, max_units=4, background=2)
+       .filter(lambda net: net[0].num_states <= 36))
+def test_mip_matches_loop_with_two_background_units(net):
     assert_every_pair_matches(*net)
 
 
@@ -162,7 +361,15 @@ def test_empty_part_repertoire_scores_infinite(monkeypatch):
             return None
         return cause_repertoire(sys, mechanism, purview)
 
+    literal_cause = LiteralClassical.cause_repertoire
+
+    def literal_without_unit_1(self, mechanism, purview):
+        if mechanism.units == (1,):
+            return None
+        return literal_cause(self, mechanism, purview)
+
     monkeypatch.setattr(cl, "cause_repertoire", without_unit_1)
+    monkeypatch.setattr(LiteralClassical, "cause_repertoire", literal_without_unit_1)
     # Scored with a repertoire, this cut would be the minimum partition.
     cut = DisintegratingPartition.from_parts([((0,), ()), ((1,), (0,))])
     assert cl.phi(system, mech, (0,), cut, "cause") == math.inf

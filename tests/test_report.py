@@ -156,6 +156,38 @@ class TestRendering:
         ]
         assert "no distinctions" in render(report, "text")
 
+    def test_labels_past_z_are_fixed_width_letter_groups(self):
+        """14 units need 28 labels: every label becomes two letters, A-Z counted in base 26."""
+        effect = {
+            "mechanism_units": [0, 13], "mechanism_state": [1, 0], "direction": "effect",
+            "purview": [12, 13], "intrinsic_state": {"kind": "state", "vectors": [[1, 1]]},
+            "phi": 0.5,
+            "mip": {"parts": [{"mechanism": [0], "purview": [12]},
+                              {"mechanism": [13], "purview": [13]}],
+                    "normalization": 2},
+            "ties": [{"type": "purview", "units": [13]}],
+        }
+        report = AnalysisReport(
+            request={"unit_states": [2] * 14},
+            distinctions=[effect, {**effect, "direction": "cause", "ties": []}],
+            meta={"backend": "classical"},
+        )
+        assert render(report, "csv").splitlines()[1:] == [
+            "10_AAAN,effect,BABB,11_BABB,0.5,[AA>BA | AN>BB] /2,BB",
+            "10_AOBB,cause,AMAN,11_AMAN,0.5,[AO>AM | BB>AN] /2,-",
+        ]
+        text = render(report, "text").splitlines()
+        assert text[2].split() == ["10_AAAN", "effect", "BABB", "11_BABB", "0.5",
+                                   "[AA>BA", "|", "AN>BB]", "/2", "BB"]
+        assert text[3].split()[:3] == ["10_AOBB", "cause", "AMAN"]
+
+    def test_labels_up_to_13_units_are_single_letters(self):
+        from mechphi.report import _units_label
+
+        assert _units_label(range(13), 0, 13) == "ABCDEFGHIJKLM"
+        assert _units_label(range(13), 1, 13) == "NOPQRSTUVWXYZ"
+        assert _units_label([0, 1], 1, 2) == "CD"
+
     def test_unknown_format_rejected(self):
         report = AnalysisReport(request={}, distinctions=[], meta={"backend": "classical"})
         with pytest.raises(ValidationError, match="format"):
@@ -211,6 +243,16 @@ class TestCli:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/does/not/exist.json"]) == 2
+
+    def test_unexpected_exception_is_one_line_with_exit_code_4(self, monkeypatch, capsys):
+        def broken_run(request):
+            raise RuntimeError("broken\nacross lines")
+
+        monkeypatch.setattr("mechphi.cli.run", broken_run)
+        assert main(["example", "cnot-10"]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: broken across lines\n"
+        assert "Traceback" not in err
 
     def test_direction_and_mechanism_flags(self, capsys):
         assert main(["example", "cnot-10", "--direction", "effect",
