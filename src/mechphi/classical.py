@@ -7,6 +7,9 @@ over candidate purviews, scores them against chance with the intrinsic
 difference measure, quantifies irreducibility against the minimum
 disintegrating partition, and finally maximizes over purviews.  Running that
 for every mechanism subset of a state unfolds the distinction structure.
+Every repertoire is built from per-unit factors memoized per system: an
+effect repertoire is the outer product of per-unit marginals, a cause
+repertoire the normalized product of per-unit likelihoods.
 
 Probabilities over a unit subset are indexed big-endian in ascending unit
 order (lowest unit index = most significant digit).  All scores are in ibits
@@ -28,6 +31,7 @@ from .errors import ValidationError
 from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
     enumerate_disintegrating,
+    part_masks,
 )
 from .search import CAUSE, EFFECT, Direction
 from .tensor import DEFAULT_TOL
@@ -93,6 +97,12 @@ class ClassicalSystem:
     over ascending unit order.  Units must be conditionally independent given
     the source state; this is checked at construction.  Optional background
     units are clamped to a fixed state and excluded from the analysis.
+
+    ``_memo`` keeps what analyses compute, keyed by mechanism state and unit
+    sets: per-unit marginals and likelihoods, repertoires and part tables.
+    It is bounded by the state space, never shrinks and lives as long as the
+    system.  Entries are written once and never changed, so concurrent
+    analyses of one system can only duplicate work.
     """
 
     def __init__(self, unit_state_counts: Sequence[int], tpm,
@@ -104,7 +114,7 @@ class ClassicalSystem:
                 f"every unit needs at least two states, got {self.unit_state_counts}"
             )
         self.n_units = len(self.unit_state_counts)
-        self.num_states = int(np.prod(self.unit_state_counts, dtype=np.int64))
+        self.num_states = math.prod(self.unit_state_counts)
         self.tol = float(tol)
 
         tpm = np.array(tpm, dtype=float)  # a private copy: frozen below
@@ -113,6 +123,8 @@ class ClassicalSystem:
                 f"tpm shape {tpm.shape} does not match state space "
                 f"({self.num_states} x {self.num_states})"
             )
+        if not np.isfinite(tpm).all():
+            raise ValidationError("tpm contains non-finite entries")
         if float(tpm.min()) < -tol:
             s, t = np.unravel_index(int(np.argmin(tpm)), tpm.shape)
             raise ValidationError(f"tpm entry ({s},{t}) is negative: {tpm[s, t]:.3e}")
@@ -201,6 +213,50 @@ class ClassicalSystem:
 # -- repertoires ----------------------------------------------------------
 
 
+def _marginal(sys: ClassicalSystem, mechanism: Mechanism, unit: int) -> np.ndarray:
+    """``unit``'s next-state distribution given the mechanism state, memoized.
+
+    The other source units, bar the background, are averaged out.
+    """
+    key = ("em", mechanism, unit)
+    if key not in sys._memo:
+        index = sys._pin(mechanism.units, mechanism.state)
+        sys._memo[key] = sys._cond[unit][index].reshape(-1, sys.unit_state_counts[unit]).mean(0)
+    return sys._memo[key]
+
+
+def _likelihood(sys: ClassicalSystem, unit: int, value: int,
+                purview: tuple[int, ...]) -> Optional[np.ndarray]:
+    """Normalized likelihood of ``unit`` taking ``value``, per purview state, memoized.
+
+    Source units outside the purview are uniformly marginalized.  None when
+    the value is unreachable from every purview state.
+    """
+    key = ("cl", unit, value, purview)
+    if key not in sys._memo:
+        # One 1-D mean per purview state: a 2-D mean can round differently.
+        factor = np.array([sys._cond[unit][sys._pin(purview, z) + (value,)].ravel().mean()
+                           for z in sys.subset_states(purview)])
+        total = float(factor.sum())
+        sys._memo[key] = factor / total if total > 0.0 else None
+    return sys._memo[key]
+
+
+def _outer(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...]) -> np.ndarray:
+    # The outer product, raveled, is np.kron of the factors bit for bit.
+    return reduce(np.multiply.outer, [_marginal(sys, mechanism, u) for u in purview]).ravel()
+
+
+def _checked(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...]) -> tuple:
+    """The canonical purview, once it and the mechanism pass their checks."""
+    canon = sys._check_units(purview, "purview")
+    if not canon:
+        raise ValidationError("purview must be nonempty")
+    sys._check_units(mechanism.units, "mechanism")
+    sys._check_state(mechanism)
+    return canon
+
+
 def effect_repertoire_single(sys: ClassicalSystem, mechanism: Mechanism,
                              unit: int) -> ClassicalRepertoire:
     """Distribution the mechanism fixes over one unit's next state."""
@@ -209,33 +265,18 @@ def effect_repertoire_single(sys: ClassicalSystem, mechanism: Mechanism,
 
 def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
                       purview: Iterable[int]) -> ClassicalRepertoire:
-    """Product of single-unit effect repertoires over the purview.
+    """Product of single-unit effect repertoires (``_marginal``) over the purview.
 
-    Each unit's repertoire averages its conditional over the source states of
-    the units outside the mechanism and the background (causal
-    marginalization).  The product form gives each purview unit an
-    independent marginalized input, which discounts correlations produced by
-    shared inputs from outside the mechanism.  An empty mechanism yields the
-    per-unit average over every source state (the fully marginalized effect
-    repertoire).
+    The product form gives each purview unit an independent marginalized
+    input, which discounts correlations produced by shared inputs from
+    outside the mechanism.  An empty mechanism yields the fully marginalized
+    effect repertoire.  Arguments are checked on a memo miss only.
     """
-    purview = sys._check_units(purview, "purview")
-    if not purview:
-        raise ValidationError("purview must be nonempty")
-    key = ("er", mechanism, purview)
-    hit = sys._memo.get(key)
-    if hit is not None:
-        return hit
-    sys._check_units(mechanism.units, "mechanism")
-    sys._check_state(mechanism)
-    index = sys._pin(mechanism.units, mechanism.state)
-    marginals = [sys._cond[u][index].reshape(-1, sys.unit_state_counts[u]).mean(axis=0)
-                 for u in purview]
-    # The outer product, raveled, is np.kron of the factors bit for bit.
-    probs = reduce(np.multiply.outer, marginals).ravel()
-    rep = ClassicalRepertoire(purview, probs)
-    sys._memo[key] = rep
-    return rep
+    key = ("er", mechanism, purview := tuple(purview))
+    if key not in sys._memo:
+        purview = _checked(sys, mechanism, purview)
+        sys._memo[key] = ClassicalRepertoire(purview, _outer(sys, mechanism, purview))
+    return sys._memo[key]
 
 
 def unconstrained_effect(sys: ClassicalSystem, purview: Iterable[int],
@@ -244,60 +285,46 @@ def unconstrained_effect(sys: ClassicalSystem, purview: Iterable[int],
     purview = sys._check_units(purview, "purview")
     units = sys._check_units(mechanism_units, "mechanism")
     key = ("ue", units, purview)
-    hit = sys._memo.get(key)
-    if hit is not None:
-        return hit
-    acc = np.zeros(int(np.prod([sys.unit_state_counts[u] for u in purview])))
-    states = sys.subset_states(units)
-    for st in states:
-        acc += effect_repertoire(sys, Mechanism(units, st), purview).probabilities
-    rep = ClassicalRepertoire(purview, acc / len(states))
-    sys._memo[key] = rep
-    return rep
+    if key not in sys._memo:
+        states = sys.subset_states(units)
+        acc = np.zeros(math.prod(sys.unit_state_counts[u] for u in purview))
+        for st in states:
+            acc += _outer(sys, Mechanism(units, st), purview)
+        sys._memo[key] = ClassicalRepertoire(purview, acc / len(states))
+    return sys._memo[key]
 
 
 def cause_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
                      purview: Iterable[int]) -> Optional[ClassicalRepertoire]:
     """Bayesian inversion over product distributions, per mechanism unit.
 
-    Each mechanism unit contributes the normalized likelihood of its state
-    across purview assignments (source units outside the purview uniformly
-    marginalized); the factors are multiplied and renormalized.  Returns
-    None when the mechanism state is unreachable from every purview state.
+    The mechanism units' likelihoods (``_likelihood``) are multiplied and
+    renormalized.  Returns None when the mechanism state is unreachable from
+    every purview state, and the uniform repertoire for an empty mechanism.
+    Arguments are checked on a memo miss only.
     """
-    purview = sys._check_units(purview, "purview")
-    if not purview:
-        raise ValidationError("purview must be nonempty")
-    sys._check_units(mechanism.units, "mechanism")
-    sys._check_state(mechanism)
-    if not mechanism.units:
-        return unconstrained_cause(sys, purview)
-    key = ("cr", mechanism, purview)
-    if key in sys._memo:
-        return sys._memo[key]
-
-    z_states = sys.subset_states(purview)
-    pins = [sys._pin(purview, z) for z in z_states]
-    result = np.ones(len(z_states))
-    for u, v in zip(mechanism.units, mechanism.state):
-        # One 1-D mean per purview state: a 2-D mean can round differently.
-        factor = np.array([sys._cond[u][pin + (v,)].ravel().mean() for pin in pins])
-        total = float(factor.sum())
-        if total <= 0.0:
-            break
-        result *= factor / total
-    else:
-        total = float(result.sum())
-    rep = ClassicalRepertoire(purview, result / total) if total > 0.0 else None
-    sys._memo[key] = rep
-    return rep
+    key = ("cr", mechanism, purview := tuple(purview))
+    if key not in sys._memo:
+        purview = _checked(sys, mechanism, purview)
+        factors = [_likelihood(sys, u, v, purview) for u, v in zip(*mechanism)]
+        if not factors:
+            sys._memo[key] = unconstrained_cause(sys, purview)
+        elif any(f is None for f in factors):
+            sys._memo[key] = None
+        else:
+            result = reduce(np.multiply, factors)
+            total = float(result.sum())
+            sys._memo[key] = ClassicalRepertoire(purview, result / total) if total > 0 else None
+    return sys._memo[key]
 
 
 def unconstrained_cause(sys: ClassicalSystem, purview: Iterable[int]) -> ClassicalRepertoire:
-    """Uniform distribution over the purview's state space."""
-    purview = sys._check_units(purview, "purview")
-    n = int(np.prod([sys.unit_state_counts[u] for u in purview]))
-    return ClassicalRepertoire(purview, np.full(n, 1.0 / n))
+    """Uniform distribution over the purview's state space, memoized."""
+    key = ("uc", purview := sys._check_units(purview, "purview"))
+    if key not in sys._memo:
+        n = math.prod(sys.unit_state_counts[u] for u in purview)
+        sys._memo[key] = ClassicalRepertoire(purview, np.full(n, 1.0 / n))
+    return sys._memo[key]
 
 
 def _repertoire(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
@@ -379,30 +406,78 @@ def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
 # -- partitioned repertoires and phi --------------------------------------
 
 
+def _sub_mechanisms(sys: ClassicalSystem, mechanism: Mechanism) -> list[Mechanism]:
+    """The sub-mechanism of each bitmask of ascending mechanism positions, memoized."""
+    key = ("sm", mechanism)
+    if key not in sys._memo:
+        units = sorted(mechanism.units)
+        sys._memo[key] = [mechanism.restrict(u for i, u in enumerate(units) if mask >> i & 1)
+                          for mask in range(1 << len(units))]
+    return sys._memo[key]
+
+
+def _effect_table(sys: ClassicalSystem, mechanism: Mechanism) -> np.ndarray:
+    """[mask, unit, value]: ``_marginal`` per sub-mechanism and candidate unit.
+
+    Values past a unit's state count are padding and never read.
+    """
+    key = ("et", mechanism)
+    if key not in sys._memo:
+        table = np.ones((1 << len(mechanism.units), sys.n_units, max(sys.unit_state_counts)))
+        for mask, sub in enumerate(_sub_mechanisms(sys, mechanism)):
+            for u in sys.candidate_units:
+                table[mask, u, :sys.unit_state_counts[u]] = _marginal(sys, sub, u)
+        sys._memo[key] = table
+    return sys._memo[key]
+
+
+def _cause_table(sys: ClassicalSystem, mechanism: Mechanism, z_part: tuple[int, ...]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """[mask]: each sub-mechanism's ``cause_repertoire`` over ``z_part``, and which are empty.
+
+    ``cause_repertoire`` is looked up at call time; mask 0 is the uniform
+    repertoire, and an empty repertoire's row holds ones.
+    """
+    key = ("ct", mechanism, z_part)
+    if key not in sys._memo:
+        reps = [cause_repertoire(sys, sub, z_part) for sub in _sub_mechanisms(sys, mechanism)]
+        ones = np.ones(math.prod(sys.unit_state_counts[u] for u in z_part))
+        sys._memo[key] = (np.array([ones if r is None else r.probabilities for r in reps]),
+                          np.array([r is None for r in reps]))
+    return sys._memo[key]
+
+
 def _factor_table(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                  direction: Direction, parts: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                  direction: Direction, part_m: np.ndarray, part_z: np.ndarray,
                   states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each part's repertoire read at the purview ``states``, one row per part.
 
-    Parts without a purview and the padding row ``len(parts)`` hold 1.0; a
+    Parts are position masks over the mechanism units and the purview, as in
+    ``PartitionShape``; a mechanism part indexes the tables by its bitmask.
+    Parts without a purview and the padding row ``len(part_m)`` hold 1.0; a
     part with an empty mechanism gets the fully marginalized repertoire.
     Also returns which rows belong to a part whose cause repertoire is empty.
     """
     counts = [sys.unit_state_counts[u] for u in purview]
     digits = np.unravel_index(states, counts)
-    subs = {m: mechanism.restrict(m) for m in dict.fromkeys(m for m, z in parts if z)}
-    factors = np.ones((len(parts) + 1, len(states)))
-    missing = np.zeros(len(parts) + 1, dtype=bool)
-    for j, (m_part, z_part) in enumerate(parts):
-        if not z_part:
-            continue
-        rep = _repertoire(sys, subs[m_part], z_part, direction)
-        if rep is None:
-            missing[j] = True
-            continue
-        on = [purview.index(u) for u in z_part]
+    masks = part_m @ (1 << np.arange(part_m.shape[1]))
+    factors = np.ones((len(part_m) + 1, len(states)))
+    missing = np.zeros(len(part_m) + 1, dtype=bool)
+    if direction == EFFECT:
+        table = _effect_table(sys, mechanism)
+        # Left to right over the purview, as the outer product multiplies;
+        # a unit outside the part contributes 1.0, which is exact.
+        for i, u in enumerate(purview):
+            factors[:-1] *= np.where(part_z[:, [i]], table[masks[:, None], u, digits[i]], 1.0)
+        return factors, missing
+    z_masks = part_z @ (1 << np.arange(len(purview)))
+    for z_mask in sorted(set(z_masks.tolist()) - {0}):  # one pass per purview part
+        on = [i for i in range(len(purview)) if z_mask >> i & 1]
+        rows = np.flatnonzero(z_masks == z_mask)
+        reps, empty = _cause_table(sys, mechanism, tuple(purview[i] for i in on))
         index = np.ravel_multi_index([digits[i] for i in on], [counts[i] for i in on])
-        factors[j] = rep.probabilities[index]
+        factors[rows] = reps[masks[rows, None], index]
+        missing[rows] = empty[masks[rows]]
     return factors, missing
 
 
@@ -423,8 +498,9 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     part's cause repertoire is empty.
     """
     purview = sys._check_units(purview, "purview")
-    n = int(np.prod([sys.unit_state_counts[u] for u in purview]))
-    factors, missing = _factor_table(sys, mechanism, purview, direction, list(theta.parts),
+    n = math.prod(sys.unit_state_counts[u] for u in purview)
+    factors, missing = _factor_table(sys, mechanism, purview, direction,
+                                     *part_masks(theta.parts, sorted(mechanism.units), purview),
                                      np.arange(n))
     if missing.any():
         return None
@@ -446,7 +522,8 @@ def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     if states is None:
         _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
     return float(_score_partitions(sys, mechanism, purview, direction, states,
-                                   np.arange(theta.k)[np.newaxis], list(theta.parts))[0])
+                                   np.arange(theta.k)[np.newaxis],
+                                   *part_masks(theta.parts, sorted(mechanism.units), purview))[0])
 
 
 def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -464,7 +541,7 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
 
 def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
                       direction: Direction, states: Sequence[int], slots: np.ndarray,
-                      parts: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
+                      part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
     """``phi`` of every partition ``slots`` lists, in one pass.
 
     The partitioned repertoire q of each row is read only at the intrinsic
@@ -475,7 +552,7 @@ def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple
     """
     p = _repertoire(sys, mechanism, purview, direction).probabilities
     live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
-    factors, missing = _factor_table(sys, mechanism, purview, direction, parts, live)
+    factors, missing = _factor_table(sys, mechanism, purview, direction, part_m, part_z, live)
     q = _products(factors, slots)
     supported = q > sys.tol
     ratio = np.divide(p[live], q, out=np.ones_like(q), where=supported)

@@ -149,20 +149,37 @@ class PartitionShape(NamedTuple):
 
     def relabel(self, mechanism: Units, purview: Units) -> list[tuple[Units, Units]]:
         """Each distinct part over ascending ``mechanism`` and ``purview`` labels."""
-        return [
-            (tuple(u for u, b in zip(mechanism, mb) if b),
-             tuple(u for u, b in zip(purview, zb) if b))
-            for mb, zb in zip(self.part_m.tolist(), self.part_z.tolist())
-        ]
+        return relabel(self.part_m, self.part_z, mechanism, purview)
 
-    def partition(self, index: int, parts: list[tuple[Units, Units]]
+    def partition(self, index: int, mechanism: Units, purview: Units
                   ) -> DisintegratingPartition:
-        """Partition ``index`` built from the relabeled ``parts``."""
-        return _assemble(self.slots[index].tolist(), parts)
+        """Partition ``index`` over ascending ``mechanism`` and ``purview`` labels.
+
+        Only its own parts are labeled.
+        """
+        row = [j for j in self.slots[index].tolist() if j < len(self.part_m)]
+        return DisintegratingPartition(
+            tuple(relabel(self.part_m[row], self.part_z[row], mechanism, purview)))
 
 
-def _assemble(row: list[int], parts: list[tuple[Units, Units]]) -> DisintegratingPartition:
-    return DisintegratingPartition(tuple(parts[j] for j in row if j < len(parts)))
+def relabel(part_m: np.ndarray, part_z: np.ndarray, mechanism: Units,
+            purview: Units) -> list[tuple[Units, Units]]:
+    """Position masks as (mechanism part, purview part) labels; ``part_masks`` inverts it."""
+    return [
+        (tuple(u for u, b in zip(mechanism, mb) if b),
+         tuple(u for u, b in zip(purview, zb) if b))
+        for mb, zb in zip(part_m.tolist(), part_z.tolist())
+    ]
+
+
+def part_masks(parts: Iterable[tuple[Units, Units]], mechanism: Units,
+               purview: Units) -> tuple[np.ndarray, np.ndarray]:
+    """(part_m, part_z) position masks of labeled ``parts``, as ``PartitionShape`` holds them."""
+    parts = list(parts)
+    part_m = np.array([[u in m for u in mechanism] for m, _ in parts], dtype=bool)
+    part_z = np.array([[u in z for u in purview] for _, z in parts], dtype=bool)
+    return (part_m.reshape(len(parts), len(mechanism)),
+            part_z.reshape(len(parts), len(purview)))
 
 
 def _enumerate(m_all: Units, z_all: Units) -> Iterator[DisintegratingPartition]:
@@ -249,4 +266,5 @@ def enumerate_disintegrating(mechanism: Iterable[int],
     z_all = _canon_units(purview)
     shape = partition_shape(len(m_all), len(z_all))
     parts = shape.relabel(m_all, z_all)
-    return [_assemble(row, parts) for row in shape.slots.tolist()]
+    return [DisintegratingPartition(tuple(parts[j] for j in row if j < len(parts)))
+            for row in shape.slots.tolist()]

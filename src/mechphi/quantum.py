@@ -37,6 +37,8 @@ from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     SetPartition,
     enumerate_disintegrating,
     enumerate_set_partitions,
+    part_masks,
+    relabel,
 )
 from .search import CAUSE, EFFECT, Direction
 from .tensor import (
@@ -588,7 +590,8 @@ def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
     if eigenstates is None:
         return 0.0
     return float(_score_partitions(sys, mechanism, purview, direction, eigenstates,
-                                   np.arange(theta.k)[np.newaxis], list(theta.parts))[0])
+                                   np.arange(theta.k)[np.newaxis],
+                                   *part_masks(theta.parts, mechanism.qubits, purview))[0])
 
 
 def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -611,9 +614,10 @@ _BLOCK = 32
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
                       purview: tuple[int, ...], direction: Direction,
                       eigenstates: Sequence[tuple[float, np.ndarray]], slots: np.ndarray,
-                      parts: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
+                      part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
     """``phi`` of every partition ``slots`` lists (see ``search.mip``).
 
+    The parts are labeled over the mechanism's qubits and the purview first.
     Each mechanism part is reduced once and each distinct part's density
     matrix built once, then read into the purview's layout (``_gather``).
     Partitions are scored ``_BLOCK`` at a time: one stack of their tensor
@@ -621,6 +625,7 @@ def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
     decomposed by one batched ``eigh``.  A partition with an empty part cause
     repertoire scores +inf.  ``phi`` is the one-row case.
     """
+    parts = relabel(part_m, part_z, mechanism.qubits, purview)
     reduced = {m: _reduce(sys, mechanism, m) for m in dict.fromkeys(m for m, z in parts if z)}
     factors: list[Optional[tuple[tuple[int, ...], np.ndarray]]] = []
     empty = np.zeros(len(parts) + 1, dtype=bool)  # the last entry is the padding slot

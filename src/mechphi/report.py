@@ -52,11 +52,16 @@ class AnalysisReport:
 
 def _parse_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
+        parts = (value,)
+    elif (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise ValidationError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+        parts = value
+    else:
+        raise ValidationError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise ValidationError(f"{path}: {value!r} is out of range") from None
 
 
 def _parse_cvector(value, path: str) -> np.ndarray:
@@ -118,10 +123,10 @@ def parse_request(source, tolerance: Optional[float] = None,
     if backend not in ("classical", "quantum"):
         raise ValidationError(f"backend: expected 'classical' or 'quantum', got {backend!r}")
     dir_value = data.get("direction", "both")
-    if dir_value not in _DIRECTIONS:
+    if not isinstance(dir_value, str) or dir_value not in _DIRECTIONS:
         raise ValidationError(f"direction: expected cause|effect|both, got {dir_value!r}")
     tol = data.get("tolerance", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or not 0 < float(tol) < 1:
+    if not isinstance(tol, (int, float)) or not 0 < tol < 1:
         raise ValidationError(f"tolerance: expected a float in (0, 1), got {tol!r}")
     tol = float(tol)
 
@@ -150,7 +155,7 @@ def _parse_classical(data: dict, direction: str, tol: float,
     if "tpm" not in data:
         raise ValidationError("tpm: required for the classical backend")
     tpm = _parse_cmatrix(data["tpm"], "tpm")
-    if float(np.max(np.abs(tpm.imag))) > 0:
+    if np.any(tpm.imag != 0):  # NaN parts included
         raise ValidationError("tpm: entries must be real")
     background = None
     if "background" in data:
@@ -185,8 +190,8 @@ def _parse_classical(data: dict, direction: str, tol: float,
 def _parse_quantum(data: dict, direction: str, tol: float,
                    mech_subsets) -> AnalysisRequest:
     qubits = data.get("qubits")
-    if not isinstance(qubits, int) or isinstance(qubits, bool):
-        raise ValidationError(f"qubits: expected an integer, got {qubits!r}")
+    if not isinstance(qubits, int) or isinstance(qubits, bool) or not 1 <= qubits <= 3:
+        raise ValidationError(f"qubits: expected 1, 2 or 3, got {qubits!r}")
     if "unitary" not in data:
         raise ValidationError("unitary: required for the quantum backend")
     u = _parse_cmatrix(data["unitary"], "unitary")

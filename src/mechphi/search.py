@@ -48,20 +48,21 @@ def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
 
     Ties go to the smaller unnormalized phi, then to canonical enumeration
     order.  ``score_partitions(sys, mechanism, purview, direction, states,
-    slots, parts)`` returns the phi of every partition ``slots`` lists: row
-    ``i`` names partition ``i``'s parts as indices into ``parts``, padded
-    with ``len(parts)``.  Without intrinsic states the first partition
-    scores 0.
+    slots, part_m, part_z)`` returns the phi of every partition ``slots``
+    lists: row ``i`` names partition ``i``'s parts as indices into the
+    position masks ``part_m`` (over ``m_units``) and ``part_z`` (over
+    ``purview``), padded with ``len(part_m)``.  Only the winning partition is
+    labeled.  Without intrinsic states the first partition scores 0.
     """
     shape = partition_shape(len(m_units), len(purview))
-    parts = shape.relabel(m_units, purview)
     _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
     if states is None:
-        return shape.partition(0, parts), 0.0
-    values = score_partitions(sys, mechanism, purview, direction, states, shape.slots, parts)
+        return shape.partition(0, m_units, purview), 0.0
+    values = score_partitions(sys, mechanism, purview, direction, states, shape.slots,
+                              shape.part_m, shape.part_z)
     # lexsort is stable: equal (value / norm, value) keys keep enumeration order.
     best = int(np.lexsort((values, values / shape.norms))[0])
-    return shape.partition(best, parts), float(values[best])
+    return shape.partition(best, m_units, purview), float(values[best])
 
 
 def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],

@@ -66,7 +66,10 @@ def check_density_matrices(stack: np.ndarray, tol: float = DEFAULT_TOL) -> None:
         raise ValidationError("density matrix contains non-finite entries")
     herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).reshape(len(stack), -1).max(axis=1)
     tr = np.trace(stack, axis1=1, axis2=2)
-    lo = np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1))).min(axis=1)
+    try:
+        lo = np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1))).min(axis=1)
+    except np.linalg.LinAlgError:  # entries near the float limit: no state has them
+        lo = np.full(len(stack), -np.inf)
     failed = (herm > tol) | (np.abs(tr - 1.0) > tol) | (lo < -tol)
     if not failed.any():
         return

@@ -8,11 +8,12 @@ matrix; derived values are computed with independent oracles inline.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import COPY_XOR_TPM
+from conftest import COPY_XOR_TPM, random_ci_tpm
 from mechphi.classical import (
     ClassicalSystem,
     Mechanism,
@@ -281,6 +282,36 @@ class TestUnfold:
         assert len(ds) == 1 and ds[0].mechanism_units == (0,)
 
 
+class CountingMemo(dict):
+    """A system memo that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores: Counter = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+class TestUnitFactors:
+    def test_each_marginal_and_likelihood_is_computed_once(self):
+        """One 4-unit unfold computes each per-unit factor once, and every one it needs.
+
+        The marginals cover every unit under every state of every unit subset
+        (81 assignments x 4 units); the likelihoods cover every unit at its
+        ``state_t1`` value against every purview (4 x 15).
+        """
+        sys = ClassicalSystem([2, 2, 2, 2], random_ci_tpm(np.random.default_rng(11), [2] * 4))
+        sys._memo = CountingMemo()
+        unfold(sys, state_t=(0, 1, 1, 0), state_t1=(1, 1, 0, 1))
+        kinds = Counter(key[0] for key in sys._memo.stores)
+        assert kinds["em"] == 81 * 4
+        assert kinds["cl"] == 4 * 15
+        assert max(sys._memo.stores.values()) == 1
+        assert all(key[2] == (1, 1, 0, 1)[key[1]] for key in sys._memo.stores if key[0] == "cl")
+
+
 class TestSystemValidation:
     def test_row_sum_error_names_row(self):
         tpm = COPY_XOR_TPM.copy()
@@ -297,6 +328,12 @@ class TestSystemValidation:
             [0.5, 0, 0, 0.5],
         ])
         with pytest.raises(ValidationError, match="independent"):
+            ClassicalSystem([2, 2], tpm)
+
+    def test_non_finite_entry_rejected(self):
+        tpm = COPY_XOR_TPM.copy()
+        tpm[1, 1] = math.nan
+        with pytest.raises(ValidationError, match="non-finite"):
             ClassicalSystem([2, 2], tpm)
 
     def test_negative_entry_rejected(self):

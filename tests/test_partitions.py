@@ -188,7 +188,7 @@ class TestPartitionShape:
             row = shape.slots[i].tolist()
             assert [parts[j] for j in row[:theta.k]] == list(theta.parts)
             assert all(j == len(parts) for j in row[theta.k:])
-            assert shape.partition(i, parts) == theta
+            assert shape.partition(i, mechanism, purview) == theta
 
     def test_arrays_are_read_only_and_shared(self):
         shape = partition_shape(3, 2)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechphi import __version__
 from mechphi.catalog import EXAMPLES, example_names, example_request
@@ -94,6 +97,80 @@ class TestParsing:
         }
         with pytest.raises(ValidationError, match="state_t1"):
             run(parse_request(data))
+
+
+def value_paths(doc, prefix=()):
+    """The path (dict keys and list indices) of every value nested in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+GOLDEN_REQUESTS = [json.loads(path.read_text())["request"]
+                   for path in sorted(GOLDEN_DIR.glob("*.json"))]
+
+#: Replacement values: swapped types, non-finite numbers, huge ints, nested lists.
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4), st.sampled_from([10**30, -10**400, 2**63]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0]), st.text(max_size=3),
+    st.sampled_from([[], {}, [[]], [[1, 2], [3]], [0, [0, 1]], {"units": [0]}]),
+)
+
+
+@st.composite
+def mutated_requests(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_REQUESTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(value_paths(doc))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        action = draw(st.sampled_from(["drop", "replace", "wrap"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace":
+            parent[key] = copy.deepcopy(draw(ODD_VALUES))
+        else:
+            parent[key] = [copy.deepcopy(parent[key]) for _ in range(draw(st.integers(1, 2)))]
+    return doc
+
+
+class TestMalformedInput:
+    def test_nan_tpm_entry_is_rejected(self, tmp_path, capsys):
+        data = example_request("copy-xor-10")
+        data["tpm"][0][0] = math.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            parse_request(data)
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))  # writes a bare NaN token
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_unhashable_direction_is_rejected(self):
+        data = example_request("copy-xor-10")
+        data["direction"] = []
+        with pytest.raises(ValidationError, match="direction"):
+            parse_request(data)
+
+    def test_huge_unit_state_count_is_rejected(self):
+        data = example_request("copy-xor-10")
+        data["unit_states"] = [10**30, 2]
+        with pytest.raises(ValidationError, match="tpm shape"):
+            parse_request(data)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on 1e308-sized entries
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_requests(), st.booleans())
+    def test_only_validation_errors_escape(self, doc, as_text):
+        try:
+            parse_request(json.dumps(doc) if as_text else doc)
+        except ValidationError:
+            pass
 
 
 class TestGoldenReports:
