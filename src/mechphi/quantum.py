@@ -45,6 +45,7 @@ from .tensor import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_TOL,
     DensityMatrix,
+    EigenDecomposition,
     UnitaryOperator,
     apply_unitary,
     apply_unitary_adjoint,
@@ -157,17 +158,18 @@ class QuantumSystem:
 
 
 @cache
-def _mixed_states() -> dict[int, DensityMatrix]:
-    """I/d for every supported qubit count, validated once and shared.
+def _mixed_states() -> dict[int, tuple[DensityMatrix, EigenDecomposition]]:
+    """I/d and its eigensystem for every supported qubit count, built once and shared.
 
     All are built at the first call, so only the first quantum analysis of a
     process builds any, whatever its qubit count.
     """
-    return {n: DensityMatrix.maximally_mixed(n) for n in (1, 2, 3)}
+    states = {n: DensityMatrix.maximally_mixed(n) for n in (1, 2, 3)}
+    return {n: (rho, hermitian_eig(rho)) for n, rho in states.items()}
 
 
 def _maximally_mixed(purview: Sequence[int]) -> DensityMatrix:
-    return _mixed_states()[len(purview)]
+    return _mixed_states()[len(purview)][0]
 
 
 def _check_mechanism(sys: QuantumSystem, mechanism: QuantumMechanism) -> tuple[int, ...]:
@@ -199,20 +201,26 @@ def conditioned_output(sys: QuantumSystem, mechanism: QuantumMechanism,
     """Reduced state of the purview given the mechanism, everything else noised.
 
     Effects propagate forward through the unitary; causes run the adjoint,
-    which is the inverse evolution.
+    which is the inverse evolution.  The evolved system state depends on the
+    purview only through the final partial trace, so it is memoized per
+    (direction, mechanism).
     """
     purview = sys._check_qubits(purview, "purview")
     if not purview:
         raise ValidationError("purview must be nonempty")
     qubits = _check_mechanism(sys, mechanism)
-    embedded = DensityMatrix(
-        _embed_with_mixed(mechanism.state, qubits, sys.n_qubits),
-        dims=sys.dims, tol=sys.tol,
-    )
-    if direction == EFFECT:
-        evolved = apply_unitary(sys.unitary, embedded, tol=sys.tol)
-    else:
-        evolved = apply_unitary_adjoint(sys.unitary, embedded, tol=sys.tol)
+    key = ("evolved", direction, qubits, mechanism.state.data.tobytes())
+    evolved = sys._memo.get(key)
+    if evolved is None:
+        embedded = DensityMatrix(
+            _embed_with_mixed(mechanism.state, qubits, sys.n_qubits),
+            dims=sys.dims, tol=sys.tol,
+        )
+        if direction == EFFECT:
+            evolved = apply_unitary(sys.unitary, embedded, tol=sys.tol)
+        else:
+            evolved = apply_unitary_adjoint(sys.unitary, embedded, tol=sys.tol)
+        sys._memo[key] = evolved
     return partial_trace(evolved, purview, tol=sys.tol)
 
 
@@ -345,7 +353,8 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     blocks of the resulting state) in ascending lowest-qubit order.  Returns
     None when the product has (numerically) zero trace, meaning the mechanism
     state cannot be reached from any purview state.  A non-Hermitian product
-    from non-commuting blocks is symmetrized with a warning.
+    from non-commuting blocks is symmetrized with a warning.  The blocks and
+    their reduced states are memoized per mechanism.
     """
     purview = sys._check_qubits(purview, "purview")
     if not purview:
@@ -362,17 +371,16 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         sys._memo[key] = rep
         return rep
 
-    mech_structure = entanglement_partition(mechanism.state, tol=sys.tol)
-    mech_blocks = [
-        tuple(mechanism.qubits[i] for i in b) for b in mech_structure.blocks
-    ]
-    product = np.eye(2 ** len(purview), dtype=complex)
-    for positions, qubits in zip(mech_structure.blocks, mech_blocks):
-        block_state = (
-            mechanism.state if len(qubits) == len(mechanism.qubits)
-            else partial_trace(mechanism.state, positions, tol=sys.tol)
+    blocks_key = ("blocks", mechanism.qubits, mechanism.state.data.tobytes())
+    blocks = sys._memo.get(blocks_key)
+    if blocks is None:
+        structure = entanglement_partition(mechanism.state, tol=sys.tol)
+        blocks = sys._memo[blocks_key] = tuple(
+            _reduce(sys, mechanism, tuple(mechanism.qubits[i] for i in b))
+            for b in structure.blocks
         )
-        block = QuantumMechanism(qubits, block_state)
+    product = np.eye(2 ** len(purview), dtype=complex)
+    for block in blocks:
         product = product @ conditioned_output(sys, block, purview, CAUSE).data
 
     trace = complex(np.trace(product))
@@ -401,7 +409,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         purview,
         DensityMatrix(arr, dims=(2,) * len(purview), tol=sys.tol),
         SetPartition.from_blocks([purview]),
-        mechanism_partition=SetPartition.from_blocks(mech_blocks),
+        mechanism_partition=SetPartition.from_blocks([b.qubits for b in blocks]),
     )
     sys._memo[key] = rep
     return rep
@@ -436,13 +444,17 @@ def _eigen_score(p_i: float, overlap: np.ndarray, q: np.ndarray, tol: float) -> 
     return p_i * (math.log2(p_i) - cross)
 
 
-def _eigensystems(rho: DensityMatrix, sigma: DensityMatrix, tol: float
+def _eigensystems(rho: DensityMatrix, sigma: DensityMatrix, tol: float,
+                  es: Optional[EigenDecomposition] = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p, rho's eigenvectors, q, |<i|j>|^2) with eigenvalues clipped at 0."""
+    """(p, rho's eigenvectors, q, |<i|j>|^2) with eigenvalues clipped at 0.
+
+    ``es`` is sigma's eigensystem when it is already built.
+    """
     if rho.dim != sigma.dim:
         raise ValidationError("dimension mismatch between the two states")
     er = hermitian_eig(rho, tol=tol)
-    es = hermitian_eig(sigma, tol=tol)
+    es = hermitian_eig(sigma, tol=tol) if es is None else es
     overlap = np.abs(er.eigenvectors.conj().T @ es.eigenvectors) ** 2
     return (np.clip(er.eigenvalues, 0.0, None), er.eigenvectors,
             np.clip(es.eigenvalues, 0.0, None), overlap)
@@ -479,7 +491,13 @@ def qid(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL,
     deficiency makes the score +inf.  Coincides with the classical measure on
     commuting pairs and with the relative entropy when rho is pure.
     """
-    p, vectors, q, overlap = _eigensystems(rho, sigma, tol)
+    return _qid(_eigensystems(rho, sigma, tol), tol, tie_tol)
+
+
+def _qid(eigensystems: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tol: float,
+         tie_tol: float) -> tuple[float, list[tuple[float, np.ndarray]]]:
+    """``qid`` from the ``_eigensystems`` of its two states."""
+    p, vectors, q, overlap = eigensystems
     scores = np.array([_eigen_score(p[i], overlap[i], q, tol) for i in range(len(p))])
     value = float(np.max(scores))
     if math.isinf(value):
@@ -487,6 +505,8 @@ def qid(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL,
     else:
         winners = [i for i in range(len(p)) if scores[i] >= value - tie_tol]
     states = [(float(p[i]), fix_global_phase(vectors[:, i].copy())) for i in winners]
+    for _, vec in states:  # memoized results are shared: keep them read-only
+        vec.setflags(write=False)
     return value, states
 
 
@@ -499,13 +519,19 @@ def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
     The unconstrained repertoire is maximally mixed in both directions under
     unitary dynamics, so the intrinsic state is the repertoire eigenvector
     with maximal eigenvalue (the full eigenspace when degenerate).  Returns
-    (0, None) for an empty cause repertoire.
+    (0, None) for an empty cause repertoire.  Results are memoized per
+    repertoire and ``tie_tol``; I/d's eigensystem is built once per process.
     """
     purview = sys._check_qubits(purview, "purview")
     rep = _repertoire(sys, mechanism, purview, direction)
     if rep is None:
         return 0.0, None
-    return qid(rep.rho, _maximally_mixed(purview), tol=sys.tol, tie_tol=tie_tol)
+    key = ("qid", direction, mechanism.qubits, mechanism.state.data.tobytes(), purview, tie_tol)
+    if key not in sys._memo:
+        mixed, mixed_eig = _mixed_states()[len(purview)]
+        sys._memo[key] = _qid(_eigensystems(rep.rho, mixed, sys.tol, mixed_eig), sys.tol, tie_tol)
+    value, states = sys._memo[key]
+    return value, list(states)
 
 
 # -- partitioned repertoires and phi --------------------------------------
@@ -516,11 +542,17 @@ def _reduce(sys: QuantumSystem, mechanism: QuantumMechanism,
     """The mechanism part on ``m_part``, in the mechanism's reduced state on those qubits.
 
     An empty part keeps the whole state, which ``_part_rho`` never reads.
+    Reductions are memoized per (mechanism, part).
     """
     if not m_part or len(m_part) == len(mechanism.qubits):
         return QuantumMechanism(m_part, mechanism.state)
-    positions = [mechanism.qubits.index(q) for q in m_part]
-    return QuantumMechanism(m_part, partial_trace(mechanism.state, positions, tol=sys.tol))
+    key = ("reduced", mechanism.qubits, mechanism.state.data.tobytes(), m_part)
+    part = sys._memo.get(key)
+    if part is None:
+        positions = [mechanism.qubits.index(q) for q in m_part]
+        part = sys._memo[key] = QuantumMechanism(
+            m_part, partial_trace(mechanism.state, positions, tol=sys.tol))
+    return part
 
 
 def _part_rho(sys: QuantumSystem, part: QuantumMechanism, z_part: tuple[int, ...],

@@ -139,6 +139,9 @@ def parse_request(source, tolerance: Optional[float] = None,
         )
         if not mech_subsets:
             raise ValidationError("mechanisms: list must be nonempty (or use \"all\")")
+        if not all(mech_subsets):
+            i = mech_subsets.index(())
+            raise ValidationError(f"mechanisms[{i}]: mechanism must be nonempty")
     else:
         raise ValidationError(f"mechanisms: expected \"all\" or an array, got {mech_field!r}")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,15 @@ def random_permutation_tpm(rng: np.random.Generator, num_states: int) -> np.ndar
     tpm = np.zeros((num_states, num_states))
     tpm[np.arange(num_states), perm] = 1.0
     return tpm
+
+
+class CountingMemo(dict):
+    """A system memo that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores: Counter = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)

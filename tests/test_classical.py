@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import COPY_XOR_TPM, random_ci_tpm
+from conftest import COPY_XOR_TPM, CountingMemo, random_ci_tpm
 from mechphi.classical import (
     ClassicalSystem,
     Mechanism,
@@ -280,18 +280,6 @@ class TestUnfold:
     def test_explicit_mechanism_selection(self, copy_xor):
         ds = unfold(copy_xor, state_t=(1, 0), directions=("effect",), mechanisms=[(0,)])
         assert len(ds) == 1 and ds[0].mechanism_units == (0,)
-
-
-class CountingMemo(dict):
-    """A system memo that counts how often each key is stored."""
-
-    def __init__(self):
-        super().__init__()
-        self.stores: Counter = Counter()
-
-    def __setitem__(self, key, value):
-        self.stores[key] += 1
-        super().__setitem__(key, value)
 
 
 class TestUnitFactors:

@@ -3,6 +3,9 @@
 ``LiteralClassical`` holds the classical repertoires as first written: boolean
 row masks over the flat TPM, an ``np.kron`` chain for effect repertoires, a
 stride loop for partitioned repertoires and a scalar ``phi``.
+``LiteralQuantum`` holds the quantum repertoires as first written: each
+conditioned output embedded, evolved and traced on its own, and each cause
+repertoire's mechanism blocks found and reduced on every call.
 ``oracle_mip`` and ``oracle_quantum_mip`` are the searches as first written:
 enumerate every disintegrating partition, score each on its own and keep the
 smallest (phi / severed pairs, phi, enumeration index).  The quantum oracle
@@ -17,6 +20,7 @@ systems, with and without background units.
 from __future__ import annotations
 
 import math
+import warnings
 import weakref
 from itertools import product
 from types import SimpleNamespace
@@ -26,13 +30,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CNOT, GHZ, S2, W, pure, random_density, random_permutation_tpm, random_unitary
+from conftest import (
+    CNOT, GHZ, S2, W, ket, pure, random_density, random_permutation_tpm, random_unitary,
+)
 from mechphi import classical as cl
 from mechphi import quantum as qm
 from mechphi.errors import ValidationError
 from mechphi.partitions import DisintegratingPartition, enumerate_disintegrating, normalization
 from mechphi.search import all_subsets
-from mechphi.tensor import DensityMatrix, hermitian_eig, partial_trace, permute_subsystems
+from mechphi.tensor import (
+    DensityMatrix,
+    apply_unitary,
+    apply_unitary_adjoint,
+    hermitian_eig,
+    partial_trace,
+    permute_subsystems,
+)
 
 
 class LiteralClassical:
@@ -176,9 +189,11 @@ class LiteralClassical:
 _literal: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def literal(sys) -> LiteralClassical:
+def literal(sys):
+    """The system's literal repertoires: ``LiteralQuantum`` or ``LiteralClassical``."""
     if sys not in _literal:
-        _literal[sys] = LiteralClassical(sys)
+        kind = LiteralQuantum if isinstance(sys, qm.QuantumSystem) else LiteralClassical
+        _literal[sys] = kind(sys)
     return _literal[sys]
 
 
@@ -390,27 +405,111 @@ def oracle_assemble(purview, factors, tol):
     return DensityMatrix(arr, dims=(2,) * len(purview), tol=tol)
 
 
-def oracle_effect_rho(sys, mechanism, purview):
-    """The effect repertoire's matrix, its blocks tensored by ``oracle_assemble``."""
-    out = qm.conditioned_output(sys, mechanism, purview, "effect")
-    structure = qm.entanglement_partition(out, tol=sys.tol)
-    if structure.r == 1:
-        return out
-    factors = [(tuple(purview[i] for i in block), partial_trace(out, block, tol=sys.tol))
-               for block in structure.blocks]
-    return oracle_assemble(purview, factors, sys.tol)
+class LiteralQuantum:
+    """One system's quantum repertoires as first written, with no intermediate memoized.
 
+    Every conditioned output embeds the mechanism with maximally mixed qubits,
+    evolves it and traces it down to the purview; every cause repertoire finds
+    the mechanism's separable blocks and reduces the mechanism to each anew.
+    Only finished repertoires are kept, per (direction, mechanism, purview),
+    so each case builds each of them once.
+    """
 
-def oracle_part_rho(sys, mechanism, m_part, z_part, direction):
-    if not m_part:
-        return DensityMatrix.maximally_mixed(len(z_part))
-    positions = [mechanism.qubits.index(q) for q in m_part]
-    sub_state = (
-        mechanism.state if len(m_part) == len(mechanism.qubits)
-        else partial_trace(mechanism.state, positions, tol=sys.tol)
-    )
-    rep = qm._repertoire(sys, qm.QuantumMechanism(m_part, sub_state), z_part, direction)
-    return None if rep is None else rep.rho
+    def __init__(self, sys):
+        self.sys = sys
+        self.memo: dict = {}
+
+    def conditioned_output(self, mechanism, purview, direction):
+        sys = self.sys
+        qubits = mechanism.qubits
+        rest = [q for q in range(sys.n_qubits) if q not in qubits]
+        arr = mechanism.state.data
+        if rest:
+            pad = np.eye(2 ** len(rest)) / 2 ** len(rest)
+            arr = np.kron(arr, pad)
+        embedded = DensityMatrix(
+            permute_subsystems(arr, (2,) * sys.n_qubits, list(qubits) + rest),
+            dims=sys.dims, tol=sys.tol,
+        )
+        if direction == "effect":
+            evolved = apply_unitary(sys.unitary, embedded, tol=sys.tol)
+        else:
+            evolved = apply_unitary_adjoint(sys.unitary, embedded, tol=sys.tol)
+        return partial_trace(evolved, purview, tol=sys.tol)
+
+    def effect_rho(self, mechanism, purview):
+        """The effect repertoire's matrix, its blocks tensored by ``oracle_assemble``."""
+        sys = self.sys
+        out = self.conditioned_output(mechanism, purview, "effect")
+        structure = qm.entanglement_partition(out, tol=sys.tol)
+        if structure.r == 1:
+            return out
+        factors = [(tuple(purview[i] for i in block), partial_trace(out, block, tol=sys.tol))
+                   for block in structure.blocks]
+        return oracle_assemble(purview, factors, sys.tol)
+
+    def cause_rho(self, mechanism, purview):
+        """Trace-normalized product of per-block conditioned inputs, or None if empty."""
+        sys = self.sys
+        mech_structure = qm.entanglement_partition(mechanism.state, tol=sys.tol)
+        mech_blocks = [
+            tuple(mechanism.qubits[i] for i in b) for b in mech_structure.blocks
+        ]
+        product = np.eye(2 ** len(purview), dtype=complex)
+        for positions, qubits in zip(mech_structure.blocks, mech_blocks):
+            block_state = (
+                mechanism.state if len(qubits) == len(mechanism.qubits)
+                else partial_trace(mechanism.state, positions, tol=sys.tol)
+            )
+            block = qm.QuantumMechanism(qubits, block_state)
+            product = product @ self.conditioned_output(block, purview, "cause").data
+
+        trace = complex(np.trace(product))
+        if abs(trace) <= sys.tol:
+            return None
+        arr = product / trace
+        herm = float(np.max(np.abs(arr - arr.conj().T)))
+        if herm > sys.tol:
+            warnings.warn(
+                "cause repertoire blocks do not commute; symmetrizing their product "
+                f"(residual {herm:.3e})", stacklevel=2,
+            )
+            arr = 0.5 * (arr + arr.conj().T)
+            arr = arr / np.trace(arr).real
+            lo = float(np.min(np.linalg.eigvalsh(arr)))
+            if lo < -sys.tol:
+                warnings.warn(
+                    f"symmetrized cause repertoire not PSD (min eigenvalue {lo:.3e}); "
+                    "clamping negative eigenvalues", stacklevel=2,
+                )
+                w, v = np.linalg.eigh(arr)
+                w = np.clip(w, 0.0, None)
+                arr = (v * (w / w.sum())) @ v.conj().T
+        return DensityMatrix(arr, dims=(2,) * len(purview), tol=sys.tol)
+
+    def repertoire(self, mechanism, purview, direction):
+        key = (direction, mechanism.qubits, mechanism.state.data.tobytes(), purview)
+        if key not in self.memo:
+            build = self.effect_rho if direction == "effect" else self.cause_rho
+            self.memo[key] = build(mechanism, purview)
+        return self.memo[key]
+
+    def intrinsic_information(self, mechanism, purview, direction, tie_tol=qm.DEFAULT_TOL):
+        rho = self.repertoire(mechanism, purview, direction)
+        if rho is None:
+            return 0.0, None
+        return qm.qid(rho, DensityMatrix.maximally_mixed(len(purview)), tol=self.sys.tol,
+                      tie_tol=tie_tol)
+
+    def part_rho(self, mechanism, m_part, z_part, direction):
+        if not m_part:
+            return DensityMatrix.maximally_mixed(len(z_part))
+        positions = [mechanism.qubits.index(q) for q in m_part]
+        sub_state = (
+            mechanism.state if len(m_part) == len(mechanism.qubits)
+            else partial_trace(mechanism.state, positions, tol=self.sys.tol)
+        )
+        return self.repertoire(qm.QuantumMechanism(m_part, sub_state), z_part, direction)
 
 
 def oracle_partitioned_repertoire(sys, mechanism, purview, theta, direction):
@@ -419,7 +518,7 @@ def oracle_partitioned_repertoire(sys, mechanism, purview, theta, direction):
     for m_part, z_part in theta.parts:
         if not z_part:
             continue
-        rho = oracle_part_rho(sys, mechanism, m_part, z_part, direction)
+        rho = literal(sys).part_rho(mechanism, m_part, z_part, direction)
         if rho is None:
             return None
         factors.append((z_part, rho))
@@ -437,7 +536,7 @@ def oracle_quantum_mip(sys, mechanism, purview, direction, parts, tie_tol=qm.DEF
     """``parts`` holds every partition's oracle partitioned repertoire, in enumeration order."""
     purview = sys._check_qubits(purview, "purview")
     thetas = enumerate_disintegrating(mechanism.qubits, purview)
-    _, eigenstates = qm.intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+    _, eigenstates = literal(sys).intrinsic_information(mechanism, purview, direction, tie_tol)
     if eigenstates is None:
         return thetas[0], 0.0
     best_key = None
@@ -461,10 +560,11 @@ def assert_every_quantum_pair_matches(unitary, rho):
         for qubits in subsets:
             mech = system.mechanism(qubits, base)
             for purview in subsets:
-                if direction == "effect":
-                    got = qm.effect_repertoire(system, mech, purview).rho
-                    want = oracle_effect_rho(system, mech, purview)
-                    assert got.data.tobytes() == want.data.tobytes(), (qubits, purview)
+                got = (qm.effect_repertoire if direction == "effect"
+                       else qm.cause_repertoire)(system, mech, purview)
+                want = literal(system).repertoire(mech, purview, direction)
+                assert same_bytes(got and got.rho.data, want and want.data), (
+                    direction, qubits, purview)
                 thetas = enumerate_disintegrating(qubits, purview)
                 parts = [oracle_partitioned_repertoire(system, mech, purview, theta, direction)
                          for theta in thetas]
@@ -488,6 +588,12 @@ def haar_cases():
 
 
 I_CNOT = np.kron(np.eye(2), CNOT)
+X = np.array([[0, 1], [1, 0]])
+P0, P1 = np.diag([1, 0]), np.diag([0, 1])
+# X on qubit 2, then CNOT from qubit 2 onto qubit 1: not its own inverse, and
+# |001> and its image |000> have equal reductions on qubits (0, 1), so cause
+# and effect mechanisms share states that the two directions evolve differently.
+X_CNOT_21 = np.kron(np.eye(2), np.kron(np.eye(2), P0) + np.kron(X, P1)) @ np.kron(np.eye(4), X)
 
 
 @pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
@@ -498,6 +604,7 @@ I_CNOT = np.kron(np.eye(2), CNOT)
     pytest.param(CNOT, pure([0.5, 0.5, -0.5, -0.5]), id="cnot-hadamard"),
     pytest.param(CNOT, pure([S2, 0, S2, 0]), id="cnot-bell"),
     pytest.param(I_CNOT, pure(GHZ), id="icnot-ghz"),
+    pytest.param(X_CNOT_21, pure(ket(0, 0, 1)), id="xcnot-001"),
     pytest.param(np.eye(8), pure(GHZ), id="identity-ghz"),
     pytest.param(np.eye(8), pure(W), id="identity-w"),
 ])
@@ -517,10 +624,18 @@ def test_quantum_empty_part_repertoire_scores_infinite(monkeypatch):
             return None
         return cause_repertoire(sys, mechanism, purview)
 
+    literal_cause = LiteralQuantum.cause_rho
+
+    def literal_without_qubit_0(self, mechanism, purview):
+        if mechanism.qubits == (0,):
+            return None
+        return literal_cause(self, mechanism, purview)
+
     # Scored with a repertoire, this cut is the minimum partition.
     cut = DisintegratingPartition.from_parts([((), (1,)), ((0,), (0,)), ((1,), ())])
     assert qm.mip(system, mech, (0, 1), "cause") == (cut, 1.0)
     monkeypatch.setattr(qm, "cause_repertoire", without_qubit_0)
+    monkeypatch.setattr(LiteralQuantum, "cause_rho", literal_without_qubit_0)
     assert qm.phi(system, mech, (0, 1), cut, "cause") == math.inf
     theta, value = qm.mip(system, mech, (0, 1), "cause")
     assert theta != cut and value < math.inf

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import BELL_PLUS, CNOT, GHZ, S2, W, ket, pure, random_density, random_unitary
+from conftest import (
+    BELL_PLUS, CNOT, GHZ, S2, W, CountingMemo, ket, pure, random_density, random_unitary,
+)
+from mechphi import quantum as qm
 from mechphi.errors import ValidationError
 from mechphi.partitions import DisintegratingPartition
 from mechphi.quantum import (
@@ -27,7 +32,7 @@ from mechphi.quantum import (
     quantum_relative_entropy,
     unfold,
 )
-from mechphi.tensor import DensityMatrix, partial_trace
+from mechphi.tensor import DensityMatrix, EigenDecomposition, partial_trace
 
 CLASSICAL_MIX = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex))
 PLUS = np.array([S2, S2])
@@ -445,3 +450,78 @@ class TestThreeQubitExtension:
         third = [d for d in ds if d.order == 3]
         assert {d.direction for d in third} == {"effect", "cause"}
         assert all(d.purview == (0, 1, 2) for d in third)
+
+
+def haar_mixed_case():
+    rng = np.random.default_rng(7)
+    return random_unitary(rng, 8), random_density(rng, 8, 3)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("unitary, rho", [
+        pytest.param(np.kron(np.eye(2), CNOT), pure(GHZ), id="icnot-ghz"),
+        pytest.param(*haar_mixed_case(), id="haar-mixed"),
+    ])
+    def test_each_intermediate_is_built_once(self, monkeypatch, unitary, rho):
+        """One 3-qubit unfold builds every purview-independent intermediate once.
+
+        Evolved states, part reductions, cause blocks and intrinsic information
+        are each stored once; the embed and evolve steps of
+        ``conditioned_output`` run once per distinct (direction, mechanism
+        qubits, state); and only repertoires are decomposed, never I/d.
+        """
+        sys = QuantumSystem(unitary)
+        sys._memo = CountingMemo()
+        mechanisms, steps = set(), Counter()
+        conditioned = qm.conditioned_output
+
+        def recording_conditioned(sys, mechanism, purview, direction):
+            mechanisms.add((direction, mechanism.qubits, mechanism.state.data.tobytes()))
+            return conditioned(sys, mechanism, purview, direction)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                steps[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        qm._mixed_states()  # the shared I/d states, built before counting starts
+        monkeypatch.setattr(qm, "conditioned_output", recording_conditioned)
+        for name in ("_embed_with_mixed", "apply_unitary", "apply_unitary_adjoint",
+                     "hermitian_eig"):
+            monkeypatch.setattr(qm, name, counting(name, getattr(qm, name)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            unfold(sys, rho)
+
+        kinds = Counter(key[0] for key in sys._memo.stores)
+        assert all(kinds[k] for k in ("evolved", "reduced", "blocks", "qid")), kinds
+        assert max(sys._memo.stores.values()) == 1
+        evolved = {key[1:] for key in sys._memo.stores if key[0] == "evolved"}
+        assert evolved == mechanisms
+        assert steps["_embed_with_mixed"] == len(mechanisms)
+        causes = len({m for m in mechanisms if m[0] == "cause"})
+        assert steps["apply_unitary_adjoint"] == causes
+        # unfold evolves the system state once to get the cause mechanisms
+        assert steps["apply_unitary"] == len(mechanisms) - causes + 1
+        assert steps["hermitian_eig"] == kinds["qid"]
+        if np.linalg.matrix_rank(rho.data) > 1:  # the PPT and symmetrization paths ran
+            assert any("do not commute" in str(w.message) for w in caught)
+
+    def test_first_mixed_states_call_builds_every_eigensystem(self, monkeypatch):
+        calls = Counter()
+        hermitian_eig = qm.hermitian_eig
+
+        def counting_eig(rho, *args, **kwargs):
+            calls[rho.dim] += 1
+            return hermitian_eig(rho, *args, **kwargs)
+
+        monkeypatch.setattr(qm, "hermitian_eig", counting_eig)
+        qm._mixed_states.cache_clear()
+        mixed = qm._mixed_states()
+        assert calls == {2: 1, 4: 1, 8: 1}
+        for n, (rho, eig) in mixed.items():
+            assert isinstance(eig, EigenDecomposition)
+            assert rho.data.tobytes() == DensityMatrix.maximally_mixed(n).data.tobytes()
+            assert np.array_equal(eig.eigenvalues, np.full(2**n, 1.0 / 2**n))
+        assert qm._mixed_states() is mixed and calls.total() == 3

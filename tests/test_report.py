@@ -308,6 +308,14 @@ class TestCli:
         assert main(["analyze", str(req_file)]) == 2
         assert "row 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["copy-xor-10", "cnot-10"])
+    def test_empty_mechanism_rejected_at_parse(self, name, tmp_path, capsys):
+        """Both backends reject an empty mechanism with one message, before any analysis."""
+        req_file = tmp_path / "req.json"
+        req_file.write_text(json.dumps({**example_request(name), "mechanisms": [[0], []]}))
+        assert main(["analyze", str(req_file)]) == 2
+        assert capsys.readouterr().err == "error: mechanisms[1]: mechanism must be nonempty\n"
+
     def test_validate_command(self, tmp_path, capsys):
         req_file = tmp_path / "req.json"
         req_file.write_text(json.dumps(example_request("w-identity")))
