@@ -97,23 +97,33 @@ class DisintegratingPartition:
         return f"DisintegratingPartition({inner})"
 
 
+def _set_partitions(mask: int) -> Iterator[list[int]]:
+    """Set partitions of the bits of ``mask`` as block bitmasks; ``0`` has one, ``[]``.
+
+    Each block is the lowest remaining bit plus a subset of the rest, so the
+    blocks of a partition come in ascending order of their lowest bit.
+    """
+    if not mask:
+        yield []
+        return
+    low = mask & -mask
+    rest = sub = mask ^ low
+    while True:
+        for tail in _set_partitions(rest ^ sub):
+            yield [low | sub, *tail]
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
 def enumerate_set_partitions(units: Iterable[int]) -> list[SetPartition]:
     """All set partitions of ``units``; the count is the Bell number."""
     ground = _canon_units(units)
     if not ground:
         raise ValidationError("cannot partition an empty unit set")
-
-    def rec(items: Units) -> Iterator[list[list[int]]]:
-        if len(items) == 1:
-            yield [[items[0]]]
-            return
-        head, rest = items[0], items[1:]
-        for smaller in rec(rest):
-            for i in range(len(smaller)):
-                yield smaller[:i] + [[head] + smaller[i]] + smaller[i + 1:]
-            yield [[head]] + smaller
-
-    out = [SetPartition.from_blocks(blocks) for blocks in rec(ground)]
+    out = [SetPartition.from_blocks([u for i, u in enumerate(ground) if b >> i & 1]
+                                    for b in blocks)
+           for blocks in _set_partitions((1 << len(ground)) - 1)]
     out.sort(key=lambda p: (p.r, p.blocks))
     return out
 
@@ -182,85 +192,68 @@ def part_masks(parts: Iterable[tuple[Units, Units]], mechanism: Units,
             part_z.reshape(len(parts), len(purview)))
 
 
-def _enumerate(m_all: Units, z_all: Units) -> Iterator[DisintegratingPartition]:
-    """Every disintegrating partition, unsorted; canonical order sorts by (k, parts)."""
-    for mech_partition in enumerate_set_partitions(m_all):
-        blocks = mech_partition.blocks
-        p = len(blocks)
-        if p == 1:
-            # The lone block is the whole mechanism: it must be cut away from
-            # the entire purview, which is then grouped freely.
-            for zpart in enumerate_set_partitions(z_all):
-                parts = [(blocks[0], ())]
-                parts.extend(((), zb) for zb in zpart.blocks)
-                yield DisintegratingPartition.from_parts(parts)
-            continue
-        for assignment in product(range(p + 1), repeat=len(z_all)):
-            attached: list[list[int]] = [[] for _ in range(p)]
-            leftover: list[int] = []
-            for unit, dest in zip(z_all, assignment):
-                if dest == 0:
-                    leftover.append(unit)
-                else:
-                    attached[dest - 1].append(unit)
-            base = [(blocks[j], tuple(attached[j])) for j in range(p)]
-            if leftover:
-                for lpart in enumerate_set_partitions(leftover):
-                    parts = base + [((), zb) for zb in lpart.blocks]
-                    yield DisintegratingPartition.from_parts(parts)
-            else:
-                yield DisintegratingPartition.from_parts(base)
-
-
-def _readonly(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @lru_cache(maxsize=None)
 def partition_shape(m_size: int, z_size: int) -> PartitionShape:
     """The disintegrating partitions of an |M| = m_size, |Z| = z_size pair, cached.
 
-    The enumeration runs once per shape, over positions 0..m_size-1 and
-    0..z_size-1.  Position order is unit order for any ascending labels, so
-    relabeling keeps both the canonical partition order and the part order.
+    Built once per shape, over positions, from bitmasks: a set partition of
+    the mechanism, a purview share per block (none for the whole mechanism)
+    and a set partition of the purview left over.  Each partition is a row of
+    part ranks; one ``np.lexsort`` puts the rows in canonical (k, parts)
+    order.  Position order is unit order for any ascending labels, so
+    relabeling keeps both the partition and the part order.
     """
     if m_size < 1:
         raise ValidationError("mechanism must be nonempty")
     if z_size < 1:
         raise ValidationError("purview must be nonempty")
-    m_all, z_all = tuple(range(m_size)), tuple(range(z_size))
-    # One shared object per distinct part keeps the sort keys small.
-    interned: dict[tuple[Units, Units], tuple[Units, Units]] = {}
-    entries = []
-    for theta in _enumerate(m_all, z_all):
-        parts = tuple(interned.setdefault(part, part) for part in theta.parts)
-        entries.append((len(parts), parts, normalization(theta, m_all, z_all)))
-    entries.sort()  # canonical (k, parts) order; partitions are distinct
-    table = sorted(interned)
-    index = {part: j for j, part in enumerate(table)}
-    pad, width = len(table), entries[-1][0]
-    return PartitionShape(
-        part_m=_readonly([[i in m for i in m_all] for m, _ in table], bool),
-        part_z=_readonly([[i in z for i in z_all] for _, z in table], bool),
-        slots=_readonly([[index[part] for part in parts] + [pad] * (width - k)
-                         for k, parts, _ in entries], np.min_scalar_type(pad)),
-        norms=_readonly([norm for _, _, norm in entries], np.min_scalar_type(m_size * z_size)),
+    whole_m, whole_z = (1 << m_size) - 1, (1 << z_size) - 1
+
+    def positions(mask: int) -> Units:
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    # Every part but (empty, empty) and (whole mechanism, nonempty purview).
+    table = sorted(((m, z) for m in range(whole_m + 1) for z in range(whole_z + 1)
+                    if (m or z) and not (m == whole_m and z)),
+                   key=lambda part: (positions(part[0]), positions(part[1])))
+    pad, width = len(table), m_size + z_size
+    rank = [[pad] * (whole_z + 1) for _ in range(whole_m + 1)]
+    for j, (m, z) in enumerate(table):
+        rank[m][z] = j
+    # Empty-mechanism parts rank first and blocks come in order: rows are built sorted.
+    leftover = [[[rank[0][b] for b in blocks] for blocks in _set_partitions(left)]
+                for left in range(whole_z + 1)]
+    rows = []
+    for blocks in _set_partitions(whole_m):
+        p = len(blocks)
+        for dest in product(range(p + 1 if p > 1 else 1), repeat=z_size):
+            shares = [0] * (p + 1)  # shares[0] is left over
+            for i, d in enumerate(dest):
+                shares[d] |= 1 << i
+            base = [rank[b][z] for b, z in zip(blocks, shares[1:])]
+            rows.extend(head + base + [pad] * (width - len(head) - p)
+                        for head in leftover[shares[0]])
+    slots = np.array(rows, dtype=np.min_scalar_type(pad))
+    slots = slots[np.lexsort((*slots.T[::-1], np.count_nonzero(slots < pad, axis=1)))]
+    norm_type = np.min_scalar_type(m_size * z_size)
+    intact = np.array([m.bit_count() * z.bit_count() for m, z in table] + [0], norm_type)
+    shape = PartitionShape(
+        part_m=np.array([[m >> i & 1 for i in range(m_size)] for m, _ in table], bool),
+        part_z=np.array([[z >> i & 1 for i in range(z_size)] for _, z in table], bool),
+        slots=slots,
+        norms=m_size * z_size - intact[slots].sum(axis=1, dtype=norm_type),
     )
+    for arr in shape:
+        arr.setflags(write=False)
+    return shape
 
 
 def enumerate_disintegrating(mechanism: Iterable[int],
                              purview: Iterable[int]) -> list[DisintegratingPartition]:
-    """Every disintegrating partition of (mechanism, purview), each once.
+    """Every disintegrating partition of (mechanism, purview), each once, in canonical order.
 
-    Construction: pick a set partition of the mechanism; attach each purview
-    unit to one mechanism block or leave it unattached; group unattached
-    purview units into parts with an empty mechanism side.  A single-block
-    mechanism (the whole of it) may not keep any purview, so for |M| = 1 the
-    enumeration reduces to partitions that sever the mechanism from the
-    entire purview.  The partitions of each (|M|, |Z|) shape are enumerated
-    once (``partition_shape``) and relabeled here.
+    The whole mechanism keeps no purview, so for |M| = 1 every partition
+    severs the mechanism from the entire purview.  The partitions of each
+    (|M|, |Z|) shape are built once (``partition_shape``) and relabeled here.
     """
     m_all = _canon_units(mechanism)
     z_all = _canon_units(purview)

@@ -196,6 +196,12 @@ def _embed_with_mixed(state: DensityMatrix, qubits: Sequence[int], n: int) -> np
     return permute_subsystems(arr, (2,) * n, list(qubits) + rest)
 
 
+def _state_bytes(sys: QuantumSystem, mechanism: QuantumMechanism) -> bytes:
+    """The mechanism state's bytes for memo keys, one shared object per distinct state."""
+    data = mechanism.state.data.tobytes()
+    return sys._memo.setdefault(data, data)
+
+
 def conditioned_output(sys: QuantumSystem, mechanism: QuantumMechanism,
                        purview: Iterable[int], direction: Direction) -> DensityMatrix:
     """Reduced state of the purview given the mechanism, everything else noised.
@@ -209,7 +215,7 @@ def conditioned_output(sys: QuantumSystem, mechanism: QuantumMechanism,
     if not purview:
         raise ValidationError("purview must be nonempty")
     qubits = _check_mechanism(sys, mechanism)
-    key = ("evolved", direction, qubits, mechanism.state.data.tobytes())
+    key = ("evolved", direction, qubits, _state_bytes(sys, mechanism))
     evolved = sys._memo.get(key)
     if evolved is None:
         embedded = DensityMatrix(
@@ -318,7 +324,7 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         raise ValidationError("purview must be nonempty")
     if mechanism.qubits:
         _check_mechanism(sys, mechanism)
-    key = (EFFECT, mechanism.qubits, mechanism.state.data.tobytes(), purview)
+    key = (EFFECT, mechanism.qubits, _state_bytes(sys, mechanism), purview)
     hit = sys._memo.get(key)
     if hit is not None:
         return hit
@@ -361,7 +367,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         raise ValidationError("purview must be nonempty")
     if mechanism.qubits:
         _check_mechanism(sys, mechanism)
-    key = (CAUSE, mechanism.qubits, mechanism.state.data.tobytes(), purview)
+    key = (CAUSE, mechanism.qubits, _state_bytes(sys, mechanism), purview)
     if key in sys._memo:
         return sys._memo[key]
     if not mechanism.qubits:
@@ -371,7 +377,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         sys._memo[key] = rep
         return rep
 
-    blocks_key = ("blocks", mechanism.qubits, mechanism.state.data.tobytes())
+    blocks_key = ("blocks", mechanism.qubits, _state_bytes(sys, mechanism))
     blocks = sys._memo.get(blocks_key)
     if blocks is None:
         structure = entanglement_partition(mechanism.state, tol=sys.tol)
@@ -526,7 +532,7 @@ def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
     rep = _repertoire(sys, mechanism, purview, direction)
     if rep is None:
         return 0.0, None
-    key = ("qid", direction, mechanism.qubits, mechanism.state.data.tobytes(), purview, tie_tol)
+    key = ("qid", direction, mechanism.qubits, _state_bytes(sys, mechanism), purview, tie_tol)
     if key not in sys._memo:
         mixed, mixed_eig = _mixed_states()[len(purview)]
         sys._memo[key] = _qid(_eigensystems(rep.rho, mixed, sys.tol, mixed_eig), sys.tol, tie_tol)
@@ -546,7 +552,7 @@ def _reduce(sys: QuantumSystem, mechanism: QuantumMechanism,
     """
     if not m_part or len(m_part) == len(mechanism.qubits):
         return QuantumMechanism(m_part, mechanism.state)
-    key = ("reduced", mechanism.qubits, mechanism.state.data.tobytes(), m_part)
+    key = ("reduced", mechanism.qubits, _state_bytes(sys, mechanism), m_part)
     part = sys._memo.get(key)
     if part is None:
         positions = [mechanism.qubits.index(q) for q in m_part]

@@ -413,9 +413,10 @@ def _fmt_vector(vec: np.ndarray, n_units: int) -> str:
     return out
 
 
-def _fmt_density(rho: DensityMatrix) -> str:
-    n = len(rho.dims)
-    eig = hermitian_eig(rho.data)
+def _fmt_density(matrix: np.ndarray, tol: float) -> str:
+    """A validated state, as stored in a report, read at the report's tolerance."""
+    n = len(matrix).bit_length() - 1
+    eig = hermitian_eig(matrix, tol=tol)
     if abs(eig.eigenvalues[0] - 1.0) < 1e-9:
         return _fmt_vector(quantum.fix_global_phase(eig.eigenvectors[:, 0]), n)
     terms = [
@@ -448,11 +449,10 @@ def _rows_for(report: AnalysisReport) -> list[dict]:
                 for vec in vectors
             )
         else:
-            rho = DensityMatrix(
-                np.array([[complex(re, im) for re, im in row]
-                          for row in d["mechanism_state"]["matrix"]])
-            )
-            mech = _fmt_density(rho) + "_" + _units_label(munits, mlayer, n)
+            matrix = np.array([[complex(re, im) for re, im in row]
+                               for row in d["mechanism_state"]["matrix"]])
+            mech = (_fmt_density(matrix, report.meta["tolerance"])
+                    + "_" + _units_label(munits, mlayer, n))
             vecs = [
                 _fmt_vector(np.array([complex(re, im) for re, im in v]), len(zunits))
                 for v in d["intrinsic_state"]["vectors"]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from itertools import product
+from math import comb
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -11,14 +13,14 @@ from mechphi.errors import ValidationError
 from mechphi.partitions import (
     DisintegratingPartition,
     SetPartition,
-    _enumerate,
+    Units,
     enumerate_disintegrating,
     enumerate_set_partitions,
     normalization,
     partition_shape,
 )
 
-BELL_NUMBERS = {1: 1, 2: 2, 3: 5, 4: 15}
+BELL_NUMBERS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
 
 def oracle_disintegrating(mechanism, purview):
@@ -63,6 +65,10 @@ class TestSetPartitions:
         assert ((0, 1, 2),) in blocks
         assert ((0,), (1,), (2,)) in blocks
         assert ((0,), (1, 2)) in blocks
+
+    @pytest.mark.parametrize("units", [range(1), range(3), range(6), (9, 2, 5, 7)])
+    def test_matches_literal_recursion(self, units):
+        assert enumerate_set_partitions(units) == literal_set_partitions(units)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -147,6 +153,55 @@ class TestNormalization:
 SHAPES = [(m, z) for m in range(1, 5) for z in range(1, 5)]
 
 
+def literal_set_partitions(units) -> list[SetPartition]:
+    """Set partitions by recursion on the first unit, in canonical (r, blocks) order."""
+    ground = tuple(sorted(set(units)))
+
+    def rec(items: Units) -> Iterator[list[list[int]]]:
+        if len(items) == 1:
+            yield [[items[0]]]
+            return
+        head, rest = items[0], items[1:]
+        for smaller in rec(rest):
+            for i in range(len(smaller)):
+                yield smaller[:i] + [[head] + smaller[i]] + smaller[i + 1:]
+            yield [[head]] + smaller
+
+    out = [SetPartition.from_blocks(blocks) for blocks in rec(ground)]
+    out.sort(key=lambda p: (p.r, p.blocks))
+    return out
+
+
+def _enumerate(m_all: Units, z_all: Units) -> Iterator[DisintegratingPartition]:
+    """Every disintegrating partition, unsorted; canonical order sorts by (k, parts)."""
+    for mech_partition in literal_set_partitions(m_all):
+        blocks = mech_partition.blocks
+        p = len(blocks)
+        if p == 1:
+            # The lone block is the whole mechanism: it must be cut away from
+            # the entire purview, which is then grouped freely.
+            for zpart in literal_set_partitions(z_all):
+                parts = [(blocks[0], ())]
+                parts.extend(((), zb) for zb in zpart.blocks)
+                yield DisintegratingPartition.from_parts(parts)
+            continue
+        for assignment in product(range(p + 1), repeat=len(z_all)):
+            attached: list[list[int]] = [[] for _ in range(p)]
+            leftover: list[int] = []
+            for unit, dest in zip(z_all, assignment):
+                if dest == 0:
+                    leftover.append(unit)
+                else:
+                    attached[dest - 1].append(unit)
+            base = [(blocks[j], tuple(attached[j])) for j in range(p)]
+            if leftover:
+                for lpart in literal_set_partitions(leftover):
+                    parts = base + [((), zb) for zb in lpart.blocks]
+                    yield DisintegratingPartition.from_parts(parts)
+            else:
+                yield DisintegratingPartition.from_parts(base)
+
+
 def literal_enumeration(mechanism, purview):
     return sorted(_enumerate(mechanism, purview), key=lambda th: (th.k, th.parts))
 
@@ -206,3 +261,62 @@ class TestPartitionShape:
             partition_shape(0, 2)
         with pytest.raises(ValidationError):
             partition_shape(2, 0)
+
+
+def stirling2(n: int, p: int) -> int:
+    if n == p:
+        return 1
+    if p == 0 or p > n:
+        return 0
+    return p * stirling2(n - 1, p) + stirling2(n - 1, p - 1)
+
+
+def closed_form_count(m_size: int, z_size: int) -> int:
+    """Bell(|Z|) plus, per mechanism partition into p >= 2 blocks, every purview share."""
+    return BELL_NUMBERS[z_size] + sum(
+        stirling2(m_size, p) * sum(comb(z_size, j) * p ** (z_size - j) * BELL_NUMBERS[j]
+                                   for j in range(z_size + 1))
+        for p in range(2, m_size + 1)
+    )
+
+
+ALL_SHAPES = [(m, z) for m in range(1, 6) for z in range(1, 6)]
+
+
+class TestShapeInvariants:
+    """Every shape up to 5x5, checked from its definition without the oracle."""
+
+    def test_closed_form_counts(self):
+        assert [closed_form_count(n, n) for n in (3, 4, 5)] == [193, 4103, 115824]
+
+    @pytest.mark.parametrize("m_size,z_size", ALL_SHAPES)
+    def test_part_table(self, m_size, z_size):
+        shape = partition_shape(m_size, z_size)
+        assert len(shape.part_m) == 2 ** z_size * (2 ** m_size - 1)
+        assert (shape.part_m.any(axis=1) | shape.part_z.any(axis=1)).all()
+        assert not shape.part_z[shape.part_m.all(axis=1)].any()
+        keys = [(tuple(np.flatnonzero(m)), tuple(np.flatnonzero(z)))
+                for m, z in zip(shape.part_m, shape.part_z)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize("m_size,z_size", ALL_SHAPES)
+    def test_rows(self, m_size, z_size):
+        shape = partition_shape(m_size, z_size)
+        pad = len(shape.part_m)
+        slots = shape.slots.astype(np.intp)
+        assert len(slots) == closed_form_count(m_size, z_size)
+        part_m = np.vstack([shape.part_m, np.zeros((1, m_size), bool)])
+        part_z = np.vstack([shape.part_z, np.zeros((1, z_size), bool)])
+        assert (part_m[slots].sum(axis=1) == 1).all()
+        assert (part_z[slots].sum(axis=1) == 1).all()
+        k = np.count_nonzero(slots < pad, axis=1)
+        assert k.min() >= 2
+        assert ((np.diff(slots, axis=1) > 0) | (slots[:, 1:] == pad)).all()
+        keys = np.column_stack([k, slots])
+        differ = keys[1:] != keys[:-1]
+        assert differ.any(axis=1).all()
+        first = differ.argmax(axis=1)
+        at = np.arange(len(first))
+        assert (keys[1:][at, first] > keys[:-1][at, first]).all()
+        intact = np.append(shape.part_m.sum(axis=1) * shape.part_z.sum(axis=1), 0)
+        assert (shape.norms == m_size * z_size - intact[slots].sum(axis=1)).all()

@@ -466,7 +466,8 @@ class TestMemo:
         """One 3-qubit unfold builds every purview-independent intermediate once.
 
         Evolved states, part reductions, cause blocks and intrinsic information
-        are each stored once; the embed and evolve steps of
+        are each stored once, keyed by one shared bytes object per mechanism
+        state; the embed and evolve steps of
         ``conditioned_output`` run once per distinct (direction, mechanism
         qubits, state); and only repertoires are decomposed, never I/d.
         """
@@ -507,6 +508,14 @@ class TestMemo:
         assert steps["hermitian_eig"] == kinds["qid"]
         if np.linalg.matrix_rank(rho.data) > 1:  # the PPT and symmetrization paths ran
             assert any("do not commute" in str(w.message) for w in caught)
+        # Every key shares one bytes object per distinct mechanism state.
+        state_bytes: dict[bytes, set[int]] = {}
+        for key in sys._memo:
+            for part in key if isinstance(key, tuple) else (key,):
+                if isinstance(part, bytes):
+                    state_bytes.setdefault(part, set()).add(id(part))
+        assert {m[2] for m in mechanisms} <= state_bytes.keys()
+        assert all(len(ids) == 1 for ids in state_bytes.values())
 
     def test_first_mixed_states_call_builds_every_eigensystem(self, monkeypatch):
         calls = Counter()

@@ -218,6 +218,20 @@ class TestRendering:
         text = render(report, "text")
         assert "01_AB | 10_AB" in text
 
+    def test_states_render_at_the_request_tolerance(self):
+        """A trace off by 1e-7 passes a 1e-6 request, in every format."""
+        data = {
+            "backend": "quantum",
+            "qubits": 1,
+            "unitary": [[1, 0], [0, 1]],
+            "state": {"kind": "density", "matrix": [[0.7, 0], [0, 0.3000001]]},
+            "tolerance": 1e-6,
+        }
+        report = run(parse_request(data))
+        assert len(report.distinctions) == 2
+        for fmt in ("text", "csv"):
+            assert render(report, fmt).count("mix[0.7*(|0>) ; 0.3*(|1>)]") == 2
+
     def test_empty_distinction_set_renders_header_only(self):
         data = {
             "backend": "classical",
