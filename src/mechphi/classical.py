@@ -161,6 +161,9 @@ class ClassicalSystem:
             self.background_state: tuple[int, ...] = ()
         else:
             units, state = background
+            if len(units) != len(state):
+                raise ValidationError(
+                    f"background units {tuple(units)} and state {tuple(state)} differ in length")
             bg = Mechanism.make(units, state)
             if any(u < 0 or u >= self.n_units for u in bg.units):
                 raise ValidationError(f"background units {bg.units} out of range")

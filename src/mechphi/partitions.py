@@ -2,8 +2,8 @@
 
 Two families live here:
 
-* plain set partitions of a unit set (used for entanglement structure and
-  as a building block below), and
+* plain set partitions of positions ``range(n)`` (used for entanglement
+  structure and as a building block below), and
 * disintegrating partitions of a (mechanism, purview) pair: collections of
   disjoint part pairs that cover both sets, where a part pairing the whole
   mechanism must pair it with an empty purview.  Every such partition severs
@@ -27,40 +27,6 @@ Units = tuple[int, ...]
 
 def _canon_units(units: Iterable[int]) -> Units:
     return tuple(sorted({int(u) for u in units}))
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """Disjoint nonempty blocks covering a ground set."""
-
-    blocks: tuple[Units, ...]
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        canon = tuple(sorted(_canon_units(b) for b in blocks))
-        seen: set[int] = set()
-        for block in canon:
-            if not block:
-                raise ValidationError("set partition blocks must be nonempty")
-            if seen.intersection(block):
-                raise ValidationError(f"set partition blocks overlap: {canon}")
-            seen.update(block)
-        return cls(canon)
-
-    @property
-    def r(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def ground_set(self) -> Units:
-        return tuple(sorted(u for b in self.blocks for u in b))
-
-    def __iter__(self) -> Iterator[Units]:
-        return iter(self.blocks)
-
-    def __repr__(self) -> str:
-        inner = " | ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-        return f"SetPartition({inner})"
 
 
 @dataclass(frozen=True)
@@ -116,16 +82,19 @@ def _set_partitions(mask: int) -> Iterator[list[int]]:
         sub = (sub - 1) & rest
 
 
-def enumerate_set_partitions(units: Iterable[int]) -> list[SetPartition]:
-    """All set partitions of ``units``; the count is the Bell number."""
-    ground = _canon_units(units)
-    if not ground:
+@lru_cache(maxsize=None)
+def set_partitions(n: int) -> tuple[tuple[Units, ...], ...]:
+    """Set partitions of ``range(n)`` as ascending position blocks, finest first, cached.
+
+    Partitions with equally many blocks come in order of their blocks; the
+    count is the Bell number.
+    """
+    if n < 1:
         raise ValidationError("cannot partition an empty unit set")
-    out = [SetPartition.from_blocks([u for i, u in enumerate(ground) if b >> i & 1]
-                                    for b in blocks)
-           for blocks in _set_partitions((1 << len(ground)) - 1)]
-    out.sort(key=lambda p: (p.r, p.blocks))
-    return out
+    return tuple(sorted(
+        (tuple(tuple(i for i in range(n) if b >> i & 1) for b in blocks)
+         for blocks in _set_partitions((1 << n) - 1)),
+        key=lambda blocks: (-len(blocks), blocks)))
 
 
 def normalization(theta: DisintegratingPartition, mechanism: Iterable[int],

@@ -15,9 +15,10 @@ classical case.
 
 Tensor products of repertoires are formed by reading each factor into the
 purview's basis layout and multiplying entrywise, which equals ``np.kron``
-followed by a subsystem permutation bit for bit.  The MIP search scores a
-pair's partitions in fixed blocks: one stack of products, validated with the
-``DensityMatrix`` checks and decomposed by one batched ``eigh`` per block.
+followed by a subsystem permutation bit for bit.  Every partitioned product
+reads one table of part factors (``_part_table``); the MIP search scores all
+of a pair's partitions as one stack of products, validated with the
+``DensityMatrix`` checks and decomposed by one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from . import search
 from .errors import ValidationError
 from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
-    SetPartition,
+    Units,
     enumerate_disintegrating,
-    enumerate_set_partitions,
     part_masks,
     relabel,
+    set_partitions,
 )
 from .search import CAUSE, EFFECT, Direction
 from .tensor import (
@@ -70,17 +71,18 @@ class QuantumMechanism(NamedTuple):
 class QuantumRepertoire:
     """Density matrix a mechanism specifies over a purview (ascending qubits).
 
-    ``structure_partition`` is the purview partition across which the matrix
-    factorizes exactly: the finest separable partition of the conditioned
-    output for effects, the trivial single block for causes (whose matrix
-    product need not factorize).  ``mechanism_partition`` records the
-    mechanism-side separable blocks a cause repertoire was built from.
+    ``structure_partition`` is the purview partition, as ascending qubit
+    blocks, across which the matrix factorizes exactly: the finest separable
+    partition of the conditioned output for effects, the trivial single block
+    for causes (whose matrix product need not factorize).
+    ``mechanism_partition`` records the mechanism-side separable blocks a
+    cause repertoire was built from.
     """
 
     purview: tuple[int, ...]
     rho: DensityMatrix
-    structure_partition: SetPartition
-    mechanism_partition: Optional[SetPartition] = None
+    structure_partition: tuple[Units, ...]
+    mechanism_partition: Optional[tuple[Units, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -230,23 +232,19 @@ def conditioned_output(sys: QuantumSystem, mechanism: QuantumMechanism,
     return partial_trace(evolved, purview, tol=sys.tol)
 
 
-def entanglement_partition(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> SetPartition:
+def entanglement_partition(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> tuple[Units, ...]:
     """Finest partition of the subsystems under which the state is separable.
 
     Pure states: a block can be split off exactly when its reduced state is
     pure, so the finest partition is found by scanning set partitions from
-    finest to coarsest.  Mixed states: each candidate block must have a
-    positive partial transpose against the rest; this is necessary-only in
-    general, so undetected entanglement can merge blocks but a split is never
-    fabricated for a state the test can reject.  The single-block partition
-    always passes.
+    finest to coarsest (``set_partitions``, whose blocks of ascending
+    subsystem positions are returned).  Mixed states: each candidate block
+    must have a positive partial transpose against the rest; this is
+    necessary-only in general, so undetected entanglement can merge blocks
+    but a split is never fabricated for a state the test can reject.  The
+    single-block partition always passes.
     """
     k = len(rho.dims)
-    if k == 1:
-        return SetPartition.from_blocks([(0,)])
-    candidates = sorted(
-        enumerate_set_partitions(range(k)), key=lambda p: (-p.r, p.blocks)
-    )
     pure = purity(rho) >= 1.0 - tol
     cache: dict[tuple[int, ...], bool] = {}
 
@@ -261,10 +259,7 @@ def entanglement_partition(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> SetP
                 cache[block] = float(np.min(np.linalg.eigvalsh(pt))) >= -tol
         return cache[block]
 
-    for partition in candidates:
-        if all(block_ok(b) for b in partition.blocks):
-            return partition
-    return candidates[-1]  # unreachable: the single block always passes
+    return next(p for p in set_partitions(k) if all(block_ok(b) for b in p))
 
 
 def _gather(purview: Sequence[int], factors: Sequence[Optional[tuple[Sequence[int], np.ndarray]]]
@@ -329,24 +324,20 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     if hit is not None:
         return hit
     if not mechanism.qubits:
-        rep = QuantumRepertoire(
-            purview, _maximally_mixed(purview),
-            SetPartition.from_blocks([(q,) for q in purview]),
-        )
+        rep = QuantumRepertoire(purview, _maximally_mixed(purview),
+                                tuple((q,) for q in purview))
         sys._memo[key] = rep
         return rep
     out = conditioned_output(sys, mechanism, purview, EFFECT)
     structure = entanglement_partition(out, tol=sys.tol)
-    blocks = [tuple(purview[i] for i in b) for b in structure.blocks]
-    if structure.r == 1:
+    blocks = tuple(tuple(purview[i] for i in b) for b in structure)
+    if len(structure) == 1:
         rho = out
     else:
-        factors = [
-            (blocks[i], partial_trace(out, structure.blocks[i], tol=sys.tol).data)
-            for i in range(structure.r)
-        ]
+        factors = [(block, partial_trace(out, b, tol=sys.tol).data)
+                   for block, b in zip(blocks, structure)]
         rho = _product_state(purview, factors, sys.tol)
-    rep = QuantumRepertoire(purview, rho, SetPartition.from_blocks(blocks))
+    rep = QuantumRepertoire(purview, rho, blocks)
     sys._memo[key] = rep
     return rep
 
@@ -371,9 +362,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     if key in sys._memo:
         return sys._memo[key]
     if not mechanism.qubits:
-        rep = QuantumRepertoire(
-            purview, _maximally_mixed(purview), SetPartition.from_blocks([purview]),
-        )
+        rep = QuantumRepertoire(purview, _maximally_mixed(purview), (purview,))
         sys._memo[key] = rep
         return rep
 
@@ -383,7 +372,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
         structure = entanglement_partition(mechanism.state, tol=sys.tol)
         blocks = sys._memo[blocks_key] = tuple(
             _reduce(sys, mechanism, tuple(mechanism.qubits[i] for i in b))
-            for b in structure.blocks
+            for b in structure
         )
     product = np.eye(2 ** len(purview), dtype=complex)
     for block in blocks:
@@ -414,8 +403,8 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     rep = QuantumRepertoire(
         purview,
         DensityMatrix(arr, dims=(2,) * len(purview), tol=sys.tol),
-        SetPartition.from_blocks([purview]),
-        mechanism_partition=SetPartition.from_blocks([b.qubits for b in blocks]),
+        (purview,),
+        mechanism_partition=tuple(b.qubits for b in blocks),
     )
     sys._memo[key] = rep
     return rep
@@ -585,15 +574,33 @@ def partitioned_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     irreducibility.  Returns None if a part's cause repertoire is empty.
     """
     purview = sys._check_qubits(purview, "purview")
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for m_part, z_part in theta.parts:
-        if not z_part:
-            continue
-        rho = _part_rho(sys, _reduce(sys, mechanism, m_part), z_part, direction)
-        if rho is None:
-            return None
-        factors.append((z_part, rho.data))
-    return _product_state(purview, factors, sys.tol)
+    table, used, empty = _part_table(sys, mechanism, purview, direction,
+                                     *part_masks(theta.parts, mechanism.qubits, purview))
+    if empty.any():
+        return None
+    product = _assemble(table, used, np.arange(theta.k)[np.newaxis])[0]
+    return DensityMatrix(product, dims=(2,) * len(purview), tol=sys.tol)
+
+
+def _part_table(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple[int, ...],
+                direction: Direction, part_m: np.ndarray, part_z: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_gather``'s (table, used) for the parts the masks give, and which parts are empty.
+
+    The parts are labeled over the mechanism's qubits and the purview first.
+    Each mechanism part is reduced once and each part's density matrix built
+    once.  ``empty`` marks the parts whose cause repertoire is empty; like
+    the table, it has a last, padding entry.
+    """
+    parts = relabel(part_m, part_z, mechanism.qubits, purview)
+    reduced = {m: _reduce(sys, mechanism, m) for m in dict.fromkeys(m for m, z in parts if z)}
+    factors: list[Optional[tuple[tuple[int, ...], np.ndarray]]] = []
+    empty = np.zeros(len(parts) + 1, dtype=bool)
+    for j, (m_part, z_part) in enumerate(parts):
+        rho = _part_rho(sys, reduced[m_part], z_part, direction) if z_part else None
+        empty[j] = bool(z_part) and rho is None
+        factors.append(None if rho is None else (z_part, rho.data))
+    return (*_gather(purview, factors), empty)
 
 
 def _phi_against(stack: np.ndarray, eigenstates: Sequence[tuple[float, np.ndarray]],
@@ -644,38 +651,22 @@ def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
                       intrinsic_information, _score_partitions)
 
 
-#: Partitions scored per numpy pass; a constant block keeps the product
-#: stack, and so peak memory, small whatever the shape.
-_BLOCK = 32
-
-
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
                       purview: tuple[int, ...], direction: Direction,
                       eigenstates: Sequence[tuple[float, np.ndarray]], slots: np.ndarray,
                       part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
     """``phi`` of every partition ``slots`` lists (see ``search.mip``).
 
-    The parts are labeled over the mechanism's qubits and the purview first.
-    Each mechanism part is reduced once and each distinct part's density
-    matrix built once, then read into the purview's layout (``_gather``).
-    Partitions are scored ``_BLOCK`` at a time: one stack of their tensor
-    products (``_assemble``), checked like any ``DensityMatrix`` and
-    decomposed by one batched ``eigh``.  A partition with an empty part cause
-    repertoire scores +inf.  ``phi`` is the one-row case.
+    The pair's part table (``_part_table``) is built once.  The partitions
+    without an empty part cause repertoire are scored together: one stack of
+    their tensor products (``_assemble``), checked like any ``DensityMatrix``
+    and decomposed by one batched ``eigh``.  The others score +inf.  ``phi``
+    is the one-row case.
     """
-    parts = relabel(part_m, part_z, mechanism.qubits, purview)
-    reduced = {m: _reduce(sys, mechanism, m) for m in dict.fromkeys(m for m, z in parts if z)}
-    factors: list[Optional[tuple[tuple[int, ...], np.ndarray]]] = []
-    empty = np.zeros(len(parts) + 1, dtype=bool)  # the last entry is the padding slot
-    for j, (m_part, z_part) in enumerate(parts):
-        rho = _part_rho(sys, reduced[m_part], z_part, direction) if z_part else None
-        empty[j] = bool(z_part) and rho is None
-        factors.append(None if rho is None else (z_part, rho.data))
-    table, used = _gather(purview, factors)
+    table, used, empty = _part_table(sys, mechanism, purview, direction, part_m, part_z)
     values = np.full(len(slots), math.inf)
-    scored = np.flatnonzero(~empty[slots].any(axis=1))
-    for start in range(0, len(scored), _BLOCK):
-        rows = scored[start:start + _BLOCK]
+    rows = np.flatnonzero(~empty[slots].any(axis=1))
+    if len(rows):
         stack = _assemble(table, used, slots[rows])
         check_density_matrices(stack, sys.tol)
         values[rows] = _phi_against(stack, eigenstates, sys.tol)

@@ -139,9 +139,12 @@ def parse_request(source, tolerance: Optional[float] = None,
         )
         if not mech_subsets:
             raise ValidationError("mechanisms: list must be nonempty (or use \"all\")")
-        if not all(mech_subsets):
-            i = mech_subsets.index(())
-            raise ValidationError(f"mechanisms[{i}]: mechanism must be nonempty")
+        for i, m in enumerate(mech_subsets):
+            if not m:
+                raise ValidationError(f"mechanisms[{i}]: mechanism must be nonempty")
+            if len(set(m)) != len(m):
+                raise ValidationError(
+                    f"mechanisms[{i}]: mechanism units must be distinct, got {list(m)}")
     else:
         raise ValidationError(f"mechanisms: expected \"all\" or an array, got {mech_field!r}")
 

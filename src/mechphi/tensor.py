@@ -169,15 +169,10 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in descending order, matching orthonormal column vectors.
-
-    ``groups`` clusters indices whose eigenvalues differ by at most the
-    degeneracy tolerance used at construction.
-    """
+    """Eigenvalues in descending order, matching orthonormal column vectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
@@ -229,8 +224,7 @@ def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int] | int) -> np
     return np.ascontiguousarray(t.transpose(axes).reshape(rho.dim, rho.dim))
 
 
-def hermitian_eig(rho, tol: float = DEFAULT_TOL,
-                  degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> EigenDecomposition:
+def hermitian_eig(rho, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     arr = _as_matrix(rho)
     herm = float(np.max(np.abs(arr - arr.conj().T)))
@@ -240,19 +234,9 @@ def hermitian_eig(rho, tol: float = DEFAULT_TOL,
         )
     w, v = eigh_descending(arr[np.newaxis])
     w, v = w[0], v[0]
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, len(w)):
-        if w[i - 1] - w[i] <= degeneracy_tol:
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    if len(w):
-        groups.append(tuple(current))
     w.setflags(write=False)
     v.setflags(write=False)
-    return EigenDecomposition(w, v, tuple(groups))
+    return EigenDecomposition(w, v)
 
 
 def eigh_descending(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -344,6 +344,11 @@ class TestSystemValidation:
         with pytest.raises(ValidationError, match="background"):
             unfold(sys, state_t=(1, 0, 1), state_t1=(1, 1, 1))
 
+    @pytest.mark.parametrize("background", [((0, 1), (1,)), ((0,), (1, 0))])
+    def test_background_length_mismatch_rejected(self, background):
+        with pytest.raises(ValidationError, match="differ in length"):
+            ClassicalSystem([2, 2], COPY_XOR_TPM, background=background)
+
     def test_caller_tpm_is_not_frozen_or_changed(self):
         tpm = COPY_XOR_TPM.copy()
         sys = ClassicalSystem([2, 2], tpm)

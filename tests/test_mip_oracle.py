@@ -442,10 +442,10 @@ class LiteralQuantum:
         sys = self.sys
         out = self.conditioned_output(mechanism, purview, "effect")
         structure = qm.entanglement_partition(out, tol=sys.tol)
-        if structure.r == 1:
+        if len(structure) == 1:
             return out
         factors = [(tuple(purview[i] for i in block), partial_trace(out, block, tol=sys.tol))
-                   for block in structure.blocks]
+                   for block in structure]
         return oracle_assemble(purview, factors, sys.tol)
 
     def cause_rho(self, mechanism, purview):
@@ -453,10 +453,10 @@ class LiteralQuantum:
         sys = self.sys
         mech_structure = qm.entanglement_partition(mechanism.state, tol=sys.tol)
         mech_blocks = [
-            tuple(mechanism.qubits[i] for i in b) for b in mech_structure.blocks
+            tuple(mechanism.qubits[i] for i in b) for b in mech_structure
         ]
         product = np.eye(2 ** len(purview), dtype=complex)
-        for positions, qubits in zip(mech_structure.blocks, mech_blocks):
+        for positions, qubits in zip(mech_structure, mech_blocks):
             block_state = (
                 mechanism.state if len(qubits) == len(mechanism.qubits)
                 else partial_trace(mechanism.state, positions, tol=sys.tol)

@@ -12,12 +12,11 @@ import pytest
 from mechphi.errors import ValidationError
 from mechphi.partitions import (
     DisintegratingPartition,
-    SetPartition,
     Units,
     enumerate_disintegrating,
-    enumerate_set_partitions,
     normalization,
     partition_shape,
+    set_partitions,
 )
 
 BELL_NUMBERS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -52,31 +51,28 @@ def as_canonical_set(thetas):
 
 
 class TestSetPartitions:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_bell_number_counts(self, n):
-        parts = enumerate_set_partitions(range(n))
+        parts = set_partitions(n)
         assert len(parts) == BELL_NUMBERS[n]
         assert len(set(parts)) == len(parts)
         for p in parts:
-            assert p.ground_set == tuple(range(n))
+            assert tuple(sorted(u for b in p for u in b)) == tuple(range(n))
 
     def test_three_units_explicit(self):
-        blocks = {p.blocks for p in enumerate_set_partitions([0, 1, 2])}
+        blocks = set(set_partitions(3))
         assert ((0, 1, 2),) in blocks
         assert ((0,), (1,), (2,)) in blocks
         assert ((0,), (1, 2)) in blocks
 
-    @pytest.mark.parametrize("units", [range(1), range(3), range(6), (9, 2, 5, 7)])
+    @pytest.mark.parametrize("units", [range(n) for n in range(1, 7)])
     def test_matches_literal_recursion(self, units):
-        assert enumerate_set_partitions(units) == literal_set_partitions(units)
+        finest_first = sorted(literal_set_partitions(units), key=lambda p: (-len(p), p))
+        assert list(set_partitions(len(units))) == finest_first
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            enumerate_set_partitions([])
-
-    def test_overlapping_blocks_rejected(self):
-        with pytest.raises(ValidationError):
-            SetPartition.from_blocks([(0, 1), (1, 2)])
+            set_partitions(0)
 
 
 class TestEnumerateDisintegrating:
@@ -153,8 +149,8 @@ class TestNormalization:
 SHAPES = [(m, z) for m in range(1, 5) for z in range(1, 5)]
 
 
-def literal_set_partitions(units) -> list[SetPartition]:
-    """Set partitions by recursion on the first unit, in canonical (r, blocks) order."""
+def literal_set_partitions(units) -> list[tuple[Units, ...]]:
+    """Set partitions as sorted blocks, by recursion on the first unit, coarsest first."""
     ground = tuple(sorted(set(units)))
 
     def rec(items: Units) -> Iterator[list[list[int]]]:
@@ -167,22 +163,21 @@ def literal_set_partitions(units) -> list[SetPartition]:
                 yield smaller[:i] + [[head] + smaller[i]] + smaller[i + 1:]
             yield [[head]] + smaller
 
-    out = [SetPartition.from_blocks(blocks) for blocks in rec(ground)]
-    out.sort(key=lambda p: (p.r, p.blocks))
+    out = [tuple(sorted(tuple(sorted(b)) for b in blocks)) for blocks in rec(ground)]
+    out.sort(key=lambda p: (len(p), p))
     return out
 
 
 def _enumerate(m_all: Units, z_all: Units) -> Iterator[DisintegratingPartition]:
     """Every disintegrating partition, unsorted; canonical order sorts by (k, parts)."""
-    for mech_partition in literal_set_partitions(m_all):
-        blocks = mech_partition.blocks
+    for blocks in literal_set_partitions(m_all):
         p = len(blocks)
         if p == 1:
             # The lone block is the whole mechanism: it must be cut away from
             # the entire purview, which is then grouped freely.
             for zpart in literal_set_partitions(z_all):
                 parts = [(blocks[0], ())]
-                parts.extend(((), zb) for zb in zpart.blocks)
+                parts.extend(((), zb) for zb in zpart)
                 yield DisintegratingPartition.from_parts(parts)
             continue
         for assignment in product(range(p + 1), repeat=len(z_all)):
@@ -196,7 +191,7 @@ def _enumerate(m_all: Units, z_all: Units) -> Iterator[DisintegratingPartition]:
             base = [(blocks[j], tuple(attached[j])) for j in range(p)]
             if leftover:
                 for lpart in literal_set_partitions(leftover):
-                    parts = base + [((), zb) for zb in lpart.blocks]
+                    parts = base + [((), zb) for zb in lpart]
                     yield DisintegratingPartition.from_parts(parts)
             else:
                 yield DisintegratingPartition.from_parts(base)

@@ -155,11 +155,11 @@ class TestPartitionEnumeration:
 
 class TestPptFlags:
     def test_bell_state_flagged_entangled(self):
-        assert qm.entanglement_partition(pure(BELL_PLUS)).r == 1
+        assert len(qm.entanglement_partition(pure(BELL_PLUS))) == 1
 
     def test_classical_correlation_flagged_separable(self):
         mix = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex))
-        assert qm.entanglement_partition(mix).r == 2
+        assert len(qm.entanglement_partition(mix)) == 2
 
     def test_random_product_mixtures_stay_separable(self):
         rng = np.random.default_rng(105)
@@ -171,7 +171,7 @@ class TestPptFlags:
                 a = random_density(rng, 2, rank=1)
                 b = random_density(rng, 2, rank=1)
                 rho += w * np.kron(a.data, b.data)
-            assert qm.entanglement_partition(DensityMatrix(rho)).r == 2
+            assert len(qm.entanglement_partition(DensityMatrix(rho))) == 2
 
 
 class TestTensorProperties:
@@ -236,7 +236,7 @@ class TestRepertoireNormalization:
                         assert rep is not None
                         assert abs(np.trace(rep.rho.data).real - 1.0) < 1e-9
                         rebuilt = np.ones((1, 1), dtype=complex)
-                        for block in rep.structure_partition.blocks:
+                        for block in rep.structure_partition:
                             positions = [rep.purview.index(q) for q in block]
                             rebuilt = np.kron(
                                 rebuilt, partial_trace(rep.rho, positions).data

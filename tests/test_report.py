@@ -163,6 +163,27 @@ class TestMalformedInput:
         with pytest.raises(ValidationError, match="tpm shape"):
             parse_request(data)
 
+    @pytest.mark.parametrize("units,state", [([0, 1], [1]), ([0], [1, 0])])
+    def test_background_length_mismatch_exits_2(self, tmp_path, capsys, units, state):
+        data = example_request("copy-xor-10")
+        data["background"] = {"units": units, "state": state}
+        with pytest.raises(ValidationError, match="differ in length"):
+            parse_request(data)
+        path = tmp_path / "bg.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", ["copy-xor-10", "cnot-10"])
+    def test_repeated_mechanism_unit_exits_2(self, tmp_path, capsys, name):
+        data = example_request(name)
+        data["mechanisms"] = [[0], [0, 0]]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: mechanisms[1]: mechanism units must be distinct, got [0, 0]\n")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on 1e308-sized entries
     @settings(max_examples=500, deadline=None)
     @given(mutated_requests(), st.booleans())

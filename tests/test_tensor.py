@@ -113,7 +113,6 @@ class TestHermitianEig:
     def test_maximally_mixed_qubit(self):
         eig = hermitian_eig(np.eye(2) / 2)
         assert np.allclose(eig.eigenvalues, [0.5, 0.5])
-        assert eig.groups == ((0, 1),)
         assert np.allclose(eig.eigenvectors.conj().T @ eig.eigenvectors, np.eye(2))
 
     def test_plus_projector(self):
@@ -127,7 +126,6 @@ class TestHermitianEig:
         eig = hermitian_eig(np.diag([0.7, 0.3]).astype(complex))
         assert np.allclose(eig.eigenvalues, [0.7, 0.3])
         assert abs(abs(eig.eigenvectors[0, 0]) - 1.0) < 1e-12
-        assert eig.groups == ((0,), (1,))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NumericError):
