@@ -284,11 +284,11 @@ def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
 
 def unconstrained_effect(sys: ClassicalSystem, purview: Iterable[int],
                          mechanism_units: Iterable[int]) -> ClassicalRepertoire:
-    """Effect repertoire averaged over every state of the mechanism units."""
-    purview = sys._check_units(purview, "purview")
-    units = sys._check_units(mechanism_units, "mechanism")
-    key = ("ue", units, purview)
+    """Effect repertoire averaged over the mechanism units' states; checked on a memo miss."""
+    key = ("ue", units := tuple(mechanism_units), purview := tuple(purview))
     if key not in sys._memo:
+        purview = sys._check_units(purview, "purview")
+        units = sys._check_units(units, "mechanism")
         states = sys.subset_states(units)
         acc = np.zeros(math.prod(sys.unit_state_counts[u] for u in purview))
         for st in states:
@@ -322,9 +322,10 @@ def cause_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
 
 
 def unconstrained_cause(sys: ClassicalSystem, purview: Iterable[int]) -> ClassicalRepertoire:
-    """Uniform distribution over the purview's state space, memoized."""
-    key = ("uc", purview := sys._check_units(purview, "purview"))
+    """Uniform distribution over the purview's states; checked on a memo miss."""
+    key = ("uc", purview := tuple(purview))
     if key not in sys._memo:
+        purview = sys._check_units(purview, "purview")
         n = math.prod(sys.unit_state_counts[u] for u in purview)
         sys._memo[key] = ClassicalRepertoire(purview, np.full(n, 1.0 / n))
     return sys._memo[key]
@@ -600,7 +601,7 @@ def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,
     mechanisms drawn from ``state_t1``; subsets with phi = 0 are omitted.
     """
     subsets = (
-        [sys._check_units(m, "mechanism") for m in mechanisms]
+        search.requested_subsets(mechanisms, sys._check_units)
         if mechanisms is not None else search.all_subsets(sys.candidate_units)
     )
 

@@ -17,8 +17,8 @@ Tensor products of repertoires are formed by reading each factor into the
 purview's basis layout and multiplying entrywise, which equals ``np.kron``
 followed by a subsystem permutation bit for bit.  Every partitioned product
 reads one table of part factors (``_part_table``); the MIP search scores all
-of a pair's partitions as one stack of products, validated with the
-``DensityMatrix`` checks and decomposed by one batched ``eigh``.
+of a pair's partitions as one stack of products, checked like any
+``DensityMatrix`` and scored from the one batched ``eigh`` of that check.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ from .tensor import (
     DensityMatrix,
     EigenDecomposition,
     UnitaryOperator,
+    _freeze,
     apply_unitary,
     apply_unitary_adjoint,
     check_density_matrices,
-    eigh_descending,
     hermitian_eig,
     partial_trace,
     partial_transpose,
     permute_subsystems,
     purity,
+    sort_descending,
 )
 
 
@@ -156,7 +157,7 @@ class QuantumSystem:
         qubits = self._check_qubits(qubits, "mechanism")
         if len(system_state.dims) != self.n_qubits:
             raise ValidationError("system state does not match the qubit count")
-        return QuantumMechanism(qubits, partial_trace(system_state, qubits, tol=self.tol))
+        return QuantumMechanism(qubits, partial_trace(system_state, qubits))
 
 
 @cache
@@ -211,25 +212,19 @@ def conditioned_output(sys: QuantumSystem, mechanism: QuantumMechanism,
     Effects propagate forward through the unitary; causes run the adjoint,
     which is the inverse evolution.  The evolved system state depends on the
     purview only through the final partial trace, so it is memoized per
-    (direction, mechanism).
+    (direction, mechanism).  The mechanism is checked on a memo miss only.
     """
     purview = sys._check_qubits(purview, "purview")
     if not purview:
         raise ValidationError("purview must be nonempty")
-    qubits = _check_mechanism(sys, mechanism)
-    key = ("evolved", direction, qubits, _state_bytes(sys, mechanism))
+    key = ("evolved", direction, mechanism.qubits, _state_bytes(sys, mechanism))
     evolved = sys._memo.get(key)
     if evolved is None:
-        embedded = DensityMatrix(
-            _embed_with_mixed(mechanism.state, qubits, sys.n_qubits),
-            dims=sys.dims, tol=sys.tol,
-        )
-        if direction == EFFECT:
-            evolved = apply_unitary(sys.unitary, embedded, tol=sys.tol)
-        else:
-            evolved = apply_unitary_adjoint(sys.unitary, embedded, tol=sys.tol)
-        sys._memo[key] = evolved
-    return partial_trace(evolved, purview, tol=sys.tol)
+        qubits = _check_mechanism(sys, mechanism)
+        embedded = _freeze(_embed_with_mixed(mechanism.state, qubits, sys.n_qubits), sys.dims)
+        evolve = apply_unitary if direction == EFFECT else apply_unitary_adjoint
+        evolved = sys._memo[key] = evolve(sys.unitary, embedded)
+    return partial_trace(evolved, purview)
 
 
 def entanglement_partition(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> tuple[Units, ...]:
@@ -253,7 +248,7 @@ def entanglement_partition(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> tupl
             return True
         if block not in cache:
             if pure:
-                cache[block] = purity(partial_trace(rho, block, tol=tol)) >= 1.0 - tol
+                cache[block] = purity(partial_trace(rho, block)) >= 1.0 - tol
             else:
                 pt = partial_transpose(rho, block)
                 cache[block] = float(np.min(np.linalg.eigvalsh(pt))) >= -tol
@@ -299,11 +294,21 @@ def _assemble(table: np.ndarray, used: np.ndarray, slots: np.ndarray) -> np.ndar
     return out
 
 
-def _product_state(purview: Sequence[int], factors: Sequence[tuple[Sequence[int], np.ndarray]],
-                   tol: float) -> DensityMatrix:
-    """The tensor product of factors over disjoint qubit groups, in purview order."""
+def _product_state(purview: Sequence[int], factors: Sequence[tuple[Sequence[int], np.ndarray]]
+                   ) -> DensityMatrix:
+    """The tensor product of states over disjoint qubit groups, in purview order."""
     product = _assemble(*_gather(purview, factors), np.arange(len(factors))[np.newaxis])[0]
-    return DensityMatrix(product, dims=(2,) * len(purview), tol=tol)
+    return _freeze(product, (2,) * len(purview))
+
+
+def _checked(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple) -> tuple[int, ...]:
+    """The canonical purview, once it and a nonempty mechanism pass their checks."""
+    canon = sys._check_qubits(purview, "purview")
+    if not canon:
+        raise ValidationError("purview must be nonempty")
+    if mechanism.qubits:
+        _check_mechanism(sys, mechanism)
+    return canon
 
 
 def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
@@ -313,20 +318,15 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     Correlations between purview blocks that survive only as classical noise
     from outside the mechanism are removed by the product; entangled blocks
     pass through unchanged, so a pure conditioned output is returned as is.
+    Arguments are checked on a memo miss only.
     """
-    purview = sys._check_qubits(purview, "purview")
-    if not purview:
-        raise ValidationError("purview must be nonempty")
-    if mechanism.qubits:
-        _check_mechanism(sys, mechanism)
-    key = (EFFECT, mechanism.qubits, _state_bytes(sys, mechanism), purview)
-    hit = sys._memo.get(key)
-    if hit is not None:
-        return hit
+    key = (EFFECT, mechanism.qubits, _state_bytes(sys, mechanism), purview := tuple(purview))
+    if key in sys._memo:
+        return sys._memo[key]
+    purview = _checked(sys, mechanism, purview)
     if not mechanism.qubits:
-        rep = QuantumRepertoire(purview, _maximally_mixed(purview),
-                                tuple((q,) for q in purview))
-        sys._memo[key] = rep
+        sys._memo[key] = rep = QuantumRepertoire(purview, _maximally_mixed(purview),
+                                                 tuple((q,) for q in purview))
         return rep
     out = conditioned_output(sys, mechanism, purview, EFFECT)
     structure = entanglement_partition(out, tol=sys.tol)
@@ -334,9 +334,8 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     if len(structure) == 1:
         rho = out
     else:
-        factors = [(block, partial_trace(out, b, tol=sys.tol).data)
-                   for block, b in zip(blocks, structure)]
-        rho = _product_state(purview, factors, sys.tol)
+        factors = [(block, partial_trace(out, b).data) for block, b in zip(blocks, structure)]
+        rho = _product_state(purview, factors)
     rep = QuantumRepertoire(purview, rho, blocks)
     sys._memo[key] = rep
     return rep
@@ -351,19 +350,15 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     None when the product has (numerically) zero trace, meaning the mechanism
     state cannot be reached from any purview state.  A non-Hermitian product
     from non-commuting blocks is symmetrized with a warning.  The blocks and
-    their reduced states are memoized per mechanism.
+    their reduced states are memoized per mechanism.  Arguments are checked on
+    a memo miss only.
     """
-    purview = sys._check_qubits(purview, "purview")
-    if not purview:
-        raise ValidationError("purview must be nonempty")
-    if mechanism.qubits:
-        _check_mechanism(sys, mechanism)
-    key = (CAUSE, mechanism.qubits, _state_bytes(sys, mechanism), purview)
+    key = (CAUSE, mechanism.qubits, _state_bytes(sys, mechanism), purview := tuple(purview))
     if key in sys._memo:
         return sys._memo[key]
+    purview = _checked(sys, mechanism, purview)
     if not mechanism.qubits:
-        rep = QuantumRepertoire(purview, _maximally_mixed(purview), (purview,))
-        sys._memo[key] = rep
+        sys._memo[key] = rep = QuantumRepertoire(purview, _maximally_mixed(purview), (purview,))
         return rep
 
     blocks_key = ("blocks", mechanism.qubits, _state_bytes(sys, mechanism))
@@ -411,7 +406,7 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
 
 
 def _repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
-                purview: tuple[int, ...], direction: Direction
+                purview: Iterable[int], direction: Direction
                 ) -> Optional[QuantumRepertoire]:
     if direction == EFFECT:
         return effect_repertoire(sys, mechanism, purview)
@@ -516,14 +511,14 @@ def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
     with maximal eigenvalue (the full eigenspace when degenerate).  Returns
     (0, None) for an empty cause repertoire.  Results are memoized per
     repertoire and ``tie_tol``; I/d's eigensystem is built once per process.
+    The repertoire functions check the arguments.
     """
-    purview = sys._check_qubits(purview, "purview")
     rep = _repertoire(sys, mechanism, purview, direction)
     if rep is None:
         return 0.0, None
-    key = ("qid", direction, mechanism.qubits, _state_bytes(sys, mechanism), purview, tie_tol)
+    key = ("qid", direction, mechanism.qubits, _state_bytes(sys, mechanism), rep.purview, tie_tol)
     if key not in sys._memo:
-        mixed, mixed_eig = _mixed_states()[len(purview)]
+        mixed, mixed_eig = _mixed_states()[len(rep.purview)]
         sys._memo[key] = _qid(_eigensystems(rep.rho, mixed, sys.tol, mixed_eig), sys.tol, tie_tol)
     value, states = sys._memo[key]
     return value, list(states)
@@ -546,7 +541,7 @@ def _reduce(sys: QuantumSystem, mechanism: QuantumMechanism,
     if part is None:
         positions = [mechanism.qubits.index(q) for q in m_part]
         part = sys._memo[key] = QuantumMechanism(
-            m_part, partial_trace(mechanism.state, positions, tol=sys.tol))
+            m_part, partial_trace(mechanism.state, positions))
     return part
 
 
@@ -578,8 +573,8 @@ def partitioned_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
                                      *part_masks(theta.parts, mechanism.qubits, purview))
     if empty.any():
         return None
-    product = _assemble(table, used, np.arange(theta.k)[np.newaxis])[0]
-    return DensityMatrix(product, dims=(2,) * len(purview), tol=sys.tol)
+    return _freeze(_assemble(table, used, np.arange(theta.k)[np.newaxis])[0],
+                   (2,) * len(purview))
 
 
 def _part_table(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple[int, ...],
@@ -607,10 +602,10 @@ def _phi_against(stack: np.ndarray, eigenstates: Sequence[tuple[float, np.ndarra
                  tol: float) -> np.ndarray:
     """Largest QID score of the intrinsic eigenstates against each matrix of ``stack``.
 
-    Each score is floored at 0.  The matrices must already have passed
-    ``check_density_matrices``.
+    Each score is floored at 0.  Raises unless every matrix is a state; the
+    scores read the eigensystems of that check (``check_density_matrices``).
     """
-    w, v = eigh_descending(stack)
+    w, v = sort_descending(*check_density_matrices(stack, tol))
     q = np.clip(w, 0.0, None)
     return np.array([
         max([0.0, *(_eigen_score(p_i, np.abs(vec.conj() @ v[i]) ** 2, q[i], tol)
@@ -660,16 +655,14 @@ def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
     The pair's part table (``_part_table``) is built once.  The partitions
     without an empty part cause repertoire are scored together: one stack of
     their tensor products (``_assemble``), checked like any ``DensityMatrix``
-    and decomposed by one batched ``eigh``.  The others score +inf.  ``phi``
-    is the one-row case.
+    and decomposed by one batched ``eigh`` (``_phi_against``).  The others
+    score +inf.  ``phi`` is the one-row case.
     """
     table, used, empty = _part_table(sys, mechanism, purview, direction, part_m, part_z)
     values = np.full(len(slots), math.inf)
     rows = np.flatnonzero(~empty[slots].any(axis=1))
     if len(rows):
-        stack = _assemble(table, used, slots[rows])
-        check_density_matrices(stack, sys.tol)
-        values[rows] = _phi_against(stack, eigenstates, sys.tol)
+        values[rows] = _phi_against(_assemble(table, used, slots[rows]), eigenstates, sys.tol)
     return values
 
 
@@ -714,12 +707,12 @@ def unfold(sys: QuantumSystem, rho_t: DensityMatrix,
     if len(rho_t.dims) != sys.n_qubits or any(d != 2 for d in rho_t.dims):
         raise ValidationError("system state does not match the qubit count")
     subsets = (
-        [sys._check_qubits(m, "mechanism") for m in mechanisms]
+        search.requested_subsets(mechanisms, sys._check_qubits)
         if mechanisms is not None else search.all_subsets(sys.qubit_range())
     )
 
     def mechanisms_in(direction: Direction):
-        base = rho_t if direction == EFFECT else apply_unitary(sys.unitary, rho_t, sys.tol)
+        base = rho_t if direction == EFFECT else apply_unitary(sys.unitary, rho_t)
         return lambda qubits: sys.mechanism(qubits, base)
 
     return search.unfold(directions, subsets, mechanisms_in,

@@ -173,9 +173,15 @@ def _parse_classical(data: dict, direction: str, tol: float,
             _parse_int_list(bg["state"], "background.state"),
         )
     try:
-        system = classical.ClassicalSystem(counts, tpm.real, background=background, tol=tol)
+        system = classical.ClassicalSystem(counts, tpm.real, tol=tol)
     except ValidationError as exc:
         raise ValidationError(f"tpm: {exc}") from None
+    if background is not None:  # built again: only the background can fail now
+        try:
+            system = classical.ClassicalSystem(counts, tpm.real, background=background, tol=tol)
+        except ValidationError as exc:
+            raise ValidationError(f"background: {exc}") from None
+    _check_mechanisms(mech_subsets, system._check_units)
 
     def full_state(key: str) -> Optional[tuple[int, ...]]:
         if key not in data or data[key] is None:
@@ -209,6 +215,7 @@ def _parse_quantum(data: dict, direction: str, tol: float,
         system = quantum.QuantumSystem(UnitaryOperator(u, dims=(2,) * qubits, tol=tol), tol=tol)
     except ValidationError as exc:
         raise ValidationError(f"unitary: {exc}") from None
+    _check_mechanisms(mech_subsets, system._check_qubits)
 
     state = data.get("state")
     if not isinstance(state, dict) or "kind" not in state:
@@ -233,6 +240,15 @@ def _parse_quantum(data: dict, direction: str, tol: float,
         backend="quantum", direction=direction, tolerance=tol,
         mechanisms=mech_subsets, raw=data, system=system, rho_t=rho,
     )
+
+
+def _check_mechanisms(mech_subsets, check) -> None:
+    """Each requested mechanism's units against the system, reported by index."""
+    for i, units in enumerate(mech_subsets or ()):
+        try:
+            check(units, "mechanism")
+        except ValidationError as exc:
+            raise ValidationError(f"mechanisms[{i}]: {exc}") from None
 
 
 def _parse_mechanisms_spec(spec: str):

@@ -102,6 +102,15 @@ def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
     )
 
 
+def requested_subsets(mechanisms: Sequence[Sequence[int]], check: Callable) -> list[Units]:
+    """Each requested mechanism sorted by the backend's ``check``; no unit may repeat."""
+    requested = [tuple(units) for units in mechanisms]
+    subsets = [check(units, "mechanism") for units in requested]
+    if any(len(s) != len(units) for s, units in zip(subsets, requested)):
+        raise ValidationError("mechanism units must be distinct")
+    return subsets
+
+
 def unfold(directions: Sequence[Direction], subsets: Sequence[Units],
            mechanisms: Callable, phi_max: Callable) -> list:
     """``phi_max`` of every subset in every direction; effects first, then by order and units.

@@ -1,7 +1,8 @@
 """Dense complex-matrix substrate: density matrices, unitaries, tensor algebra.
 
 Everything here targets small dense systems (a handful of qubits), so the
-implementation favors strict validation and clarity over scale.  Basis
+implementation favors clarity over scale.  States are checked where they
+enter, by ``DensityMatrix(...)``; the maps below build theirs unchecked.  Basis
 convention throughout the package: subsystem 0 is the most significant digit
 of a computational-basis index (big-endian), which is what ``numpy.kron``
 produces when factors are combined in ascending subsystem order.
@@ -52,12 +53,14 @@ def _check_dims(dims: Sequence[int] | None, dim: int) -> tuple[int, ...]:
     return dims
 
 
-def check_density_matrices(stack: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+def check_density_matrices(stack: np.ndarray, tol: float = DEFAULT_TOL
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Raise ``ValidationError`` unless every matrix of ``stack`` (n, d, d) is a state.
 
     The checks, in order: finite entries, Hermitian within ``tol``, unit trace
     within ``tol`` and no eigenvalue of the Hermitian part below ``-tol``.  The
-    first failing matrix, and its first failing check, name the error.
+    first failing matrix, and its first failing check, name the error.  Returns
+    ``np.linalg.eigh`` of the Hermitian parts, which the last check reads.
     """
     if not np.isfinite(stack).all():
         first = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
@@ -67,12 +70,12 @@ def check_density_matrices(stack: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).reshape(len(stack), -1).max(axis=1)
     tr = np.trace(stack, axis1=1, axis2=2)
     try:
-        lo = np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1))).min(axis=1)
+        w, v = np.linalg.eigh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))
     except np.linalg.LinAlgError:  # entries near the float limit: no state has them
-        lo = np.full(len(stack), -np.inf)
-    failed = (herm > tol) | (np.abs(tr - 1.0) > tol) | (lo < -tol)
+        w, v = np.full(stack.shape[:2], -np.inf), None
+    failed = (herm > tol) | (np.abs(tr - 1.0) > tol) | (w[:, 0] < -tol)
     if not failed.any():
-        return
+        return w, v
     i = int(np.argmax(failed))
     if herm[i] > tol:
         raise ValidationError(
@@ -80,14 +83,15 @@ def check_density_matrices(stack: np.ndarray, tol: float = DEFAULT_TOL) -> None:
         )
     if abs(tr[i] - 1.0) > tol:
         raise ValidationError(f"trace is {complex(tr[i]):.12g}, expected 1 within tol {tol:.1e}")
-    raise ValidationError(f"not positive semidefinite: min eigenvalue {lo[i]:.3e} below -tol")
+    raise ValidationError(f"not positive semidefinite: min eigenvalue {w[i, 0]:.3e} below -tol")
 
 
 class DensityMatrix:
-    """A validated density matrix with an explicit subsystem factorization.
+    """A density matrix with an explicit subsystem factorization.
 
-    Hermiticity, unit trace and positive semidefiniteness are enforced at
-    construction (within ``tol``); instances are immutable and safe to share.
+    The constructor validates Hermiticity, unit trace and positive
+    semidefiniteness (within ``tol``); states derived from valid states skip
+    it (``_freeze``).  Instances are immutable and safe to share.
     """
 
     __slots__ = ("data", "dims")
@@ -96,10 +100,7 @@ class DensityMatrix:
         arr = _as_matrix(data)
         dims = _check_dims(dims, arr.shape[0])
         check_density_matrices(arr[np.newaxis], tol)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "dims", dims)
+        _store(self, arr, dims)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("DensityMatrix is immutable")
@@ -136,6 +137,19 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dims}, purity={self.purity():.6g})"
 
 
+def _store(obj, arr: np.ndarray, dims: tuple[int, ...]):
+    arr = arr.copy()
+    arr.setflags(write=False)
+    object.__setattr__(obj, "data", arr)
+    object.__setattr__(obj, "dims", dims)
+    return obj
+
+
+def _freeze(arr: np.ndarray, dims: Sequence[int]) -> DensityMatrix:
+    """An unchecked ``DensityMatrix`` of a complex ``arr`` derived from valid states."""
+    return _store(object.__new__(DensityMatrix), arr, tuple(dims))
+
+
 class UnitaryOperator:
     """A validated unitary with an explicit subsystem factorization."""
 
@@ -151,10 +165,7 @@ class UnitaryOperator:
             raise ValidationError(
                 f"not unitary: max |U^dag U - I| = {resid:.3e} exceeds tol {tol:.1e}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "dims", dims)
+        _store(self, arr, dims)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("UnitaryOperator is immutable")
@@ -192,25 +203,19 @@ def _canon_subsystems(subsystems: Iterable[int] | int, n: int, what: str) -> tup
     return out
 
 
-def _partial_trace_arr(arr: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    t = arr.reshape(tuple(dims) * 2)
-    letters = string.ascii_lowercase
-    row = [letters[i] for i in range(n)]
-    col = [letters[n + i] if i in keep else row[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    dk = int(np.prod([dims[i] for i in keep], dtype=np.int64))
-    return np.einsum("".join(row) + "".join(col) + "->" + out, t).reshape(dk, dk)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int],
-                  tol: float = DEFAULT_TOL) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on ``keep`` (ascending original subsystem order)."""
     keep = _canon_subsystems(keep, rho.n_subsystems, "keep set")
     if not keep:
         raise ValidationError("partial_trace: keep set must be nonempty")
-    arr = _partial_trace_arr(rho.data, rho.dims, keep)
-    return DensityMatrix(arr, dims=[rho.dims[i] for i in keep], tol=tol)
+    n, letters = rho.n_subsystems, string.ascii_lowercase
+    row = letters[:n]
+    col = "".join(letters[n + i] if i in keep else row[i] for i in range(n))
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    kept = [rho.dims[i] for i in keep]
+    dk = int(np.prod(kept, dtype=np.int64))
+    arr = np.einsum(row + col + "->" + out, rho.data.reshape(rho.dims * 2)).reshape(dk, dk)
+    return _freeze(arr, kept)
 
 
 def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int] | int) -> np.ndarray:
@@ -232,20 +237,19 @@ def hermitian_eig(rho, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         raise NumericError(
             f"hermitian_eig: input not Hermitian (residual {herm:.3e} > tol {tol:.1e})"
         )
-    w, v = eigh_descending(arr[np.newaxis])
+    w, v = sort_descending(*np.linalg.eigh((0.5 * (arr + arr.conj().T))[np.newaxis]))
     w, v = w[0], v[0]
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(w, v)
 
 
-def eigh_descending(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian part of each matrix of ``stack`` (n, d, d).
+def sort_descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked eigenpairs of ``np.linalg.eigh``, each row re-sorted descending.
 
-    Each row of eigenvalues is sorted descending by a stable argsort, and the
-    eigenvector columns follow; both arrays are new and C-contiguous.
+    The sort is a stable argsort of the eigenvalues, and the eigenvector
+    columns follow; both arrays are new and C-contiguous.
     """
-    w, v = np.linalg.eigh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))
     order = np.argsort(-w, axis=1, kind="stable")
     return (np.take_along_axis(w, order, axis=1),
             np.take_along_axis(v, order[:, np.newaxis, :], axis=2))
@@ -257,20 +261,18 @@ def purity(rho) -> float:
     return float(np.sum(np.abs(arr) ** 2).real)
 
 
-def apply_unitary(u: UnitaryOperator, rho: DensityMatrix,
-                  tol: float = DEFAULT_TOL) -> DensityMatrix:
+def apply_unitary(u: UnitaryOperator, rho: DensityMatrix) -> DensityMatrix:
     """U rho U^dag; trace and spectrum are preserved."""
     if u.dim != rho.dim:
         raise ValidationError(f"dimension mismatch: unitary {u.dim} vs state {rho.dim}")
-    return DensityMatrix(u.data @ rho.data @ u.data.conj().T, dims=rho.dims, tol=tol)
+    return _freeze(u.data @ rho.data @ u.data.conj().T, rho.dims)
 
 
-def apply_unitary_adjoint(u: UnitaryOperator, rho: DensityMatrix,
-                          tol: float = DEFAULT_TOL) -> DensityMatrix:
+def apply_unitary_adjoint(u: UnitaryOperator, rho: DensityMatrix) -> DensityMatrix:
     """U^dag rho U, the inverse evolution for unitary dynamics."""
     if u.dim != rho.dim:
         raise ValidationError(f"dimension mismatch: unitary {u.dim} vs state {rho.dim}")
-    return DensityMatrix(u.data.conj().T @ rho.data @ u.data, dims=rho.dims, tol=tol)
+    return _freeze(u.data.conj().T @ rho.data @ u.data, rho.dims)
 
 
 def permute_subsystems(arr: np.ndarray, dims: Sequence[int],

@@ -281,6 +281,10 @@ class TestUnfold:
         ds = unfold(copy_xor, state_t=(1, 0), directions=("effect",), mechanisms=[(0,)])
         assert len(ds) == 1 and ds[0].mechanism_units == (0,)
 
+    def test_repeated_mechanism_unit_is_an_error(self, copy_xor):
+        with pytest.raises(ValidationError, match="mechanism units must be distinct"):
+            unfold(copy_xor, (1, 0), (1, 0), mechanisms=[[0], [0, 0]])
+
 
 class TestUnitFactors:
     def test_each_marginal_and_likelihood_is_computed_once(self):

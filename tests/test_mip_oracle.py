@@ -5,7 +5,10 @@ row masks over the flat TPM, an ``np.kron`` chain for effect repertoires, a
 stride loop for partitioned repertoires and a scalar ``phi``.
 ``LiteralQuantum`` holds the quantum repertoires as first written: each
 conditioned output embedded, evolved and traced on its own, and each cause
-repertoire's mechanism blocks found and reduced on every call.
+repertoire's mechanism blocks found and reduced on every call.  It passes
+every intermediate state through the validating ``DensityMatrix``
+constructor, which the production code runs only where states enter, so
+every compared pair still checks every state derived on the way.
 ``oracle_mip`` and ``oracle_quantum_mip`` are the searches as first written:
 enumerate every disintegrating partition, score each on its own and keep the
 smallest (phi / severed pairs, phi, enumeration index).  The quantum oracle
@@ -35,13 +38,16 @@ from conftest import (
 )
 from mechphi import classical as cl
 from mechphi import quantum as qm
+from mechphi.catalog import example_names, example_request
 from mechphi.errors import ValidationError
 from mechphi.partitions import DisintegratingPartition, enumerate_disintegrating, normalization
+from mechphi.report import parse_request
 from mechphi.search import all_subsets
 from mechphi.tensor import (
     DensityMatrix,
     apply_unitary,
     apply_unitary_adjoint,
+    check_density_matrices,
     hermitian_eig,
     partial_trace,
     permute_subsystems,
@@ -405,6 +411,11 @@ def oracle_assemble(purview, factors, tol):
     return DensityMatrix(arr, dims=(2,) * len(purview), tol=tol)
 
 
+def checked(rho, tol):
+    """``rho`` rebuilt by the validating constructor: raises unless it is a state."""
+    return DensityMatrix(rho.data, dims=rho.dims, tol=tol)
+
+
 class LiteralQuantum:
     """One system's quantum repertoires as first written, with no intermediate memoized.
 
@@ -432,10 +443,10 @@ class LiteralQuantum:
             dims=sys.dims, tol=sys.tol,
         )
         if direction == "effect":
-            evolved = apply_unitary(sys.unitary, embedded, tol=sys.tol)
+            evolved = checked(apply_unitary(sys.unitary, embedded), sys.tol)
         else:
-            evolved = apply_unitary_adjoint(sys.unitary, embedded, tol=sys.tol)
-        return partial_trace(evolved, purview, tol=sys.tol)
+            evolved = checked(apply_unitary_adjoint(sys.unitary, embedded), sys.tol)
+        return checked(partial_trace(evolved, purview), sys.tol)
 
     def effect_rho(self, mechanism, purview):
         """The effect repertoire's matrix, its blocks tensored by ``oracle_assemble``."""
@@ -444,7 +455,7 @@ class LiteralQuantum:
         structure = qm.entanglement_partition(out, tol=sys.tol)
         if len(structure) == 1:
             return out
-        factors = [(tuple(purview[i] for i in block), partial_trace(out, block, tol=sys.tol))
+        factors = [(tuple(purview[i] for i in block), checked(partial_trace(out, block), sys.tol))
                    for block in structure]
         return oracle_assemble(purview, factors, sys.tol)
 
@@ -459,7 +470,7 @@ class LiteralQuantum:
         for positions, qubits in zip(mech_structure, mech_blocks):
             block_state = (
                 mechanism.state if len(qubits) == len(mechanism.qubits)
-                else partial_trace(mechanism.state, positions, tol=sys.tol)
+                else checked(partial_trace(mechanism.state, positions), sys.tol)
             )
             block = qm.QuantumMechanism(qubits, block_state)
             product = product @ self.conditioned_output(block, purview, "cause").data
@@ -507,7 +518,7 @@ class LiteralQuantum:
         positions = [mechanism.qubits.index(q) for q in m_part]
         sub_state = (
             mechanism.state if len(m_part) == len(mechanism.qubits)
-            else partial_trace(mechanism.state, positions, tol=self.sys.tol)
+            else checked(partial_trace(mechanism.state, positions), self.sys.tol)
         )
         return self.repertoire(qm.QuantumMechanism(m_part, sub_state), z_part, direction)
 
@@ -556,9 +567,11 @@ def assert_every_quantum_pair_matches(unitary, rho):
     system = qm.QuantumSystem(unitary)
     subsets = all_subsets(system.qubit_range())
     for direction in ("effect", "cause"):
-        base = rho if direction == "effect" else qm.apply_unitary(system.unitary, rho)
+        base = rho if direction == "effect" else checked(
+            qm.apply_unitary(system.unitary, rho), system.tol)
         for qubits in subsets:
             mech = system.mechanism(qubits, base)
+            checked(mech.state, system.tol)
             for purview in subsets:
                 got = (qm.effect_repertoire if direction == "effect"
                        else qm.cause_repertoire)(system, mech, purview)
@@ -610,6 +623,41 @@ X_CNOT_21 = np.kron(np.eye(2), np.kron(np.eye(2), P0) + np.kron(X, P1)) @ np.kro
 ])
 def test_quantum_mip_matches_loop(unitary, rho):
     assert_every_quantum_pair_matches(unitary, rho)
+
+
+def catalog_quantum_cases():
+    """Each quantum catalog example's unitary and state, as parsed."""
+    for name in example_names():
+        request = parse_request(example_request(name))
+        if request.backend == "quantum":
+            yield pytest.param(request.system.unitary, request.rho_t, id=name)
+
+
+def memo_states(value):
+    """Every state in a memo value: bare, in a repertoire or in (tuples of) mechanisms."""
+    if isinstance(value, DensityMatrix):
+        yield value
+    elif isinstance(value, qm.QuantumRepertoire):
+        yield value.rho
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from memo_states(item)
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("unitary, rho", [*haar_cases(), *catalog_quantum_cases()])
+def test_every_memoized_state_is_valid(unitary, rho):
+    """The states derived unchecked in an unfold all pass the ``DensityMatrix`` checks."""
+    system = qm.QuantumSystem(unitary)
+    qm.unfold(system, rho)
+    by_dim: dict[int, list[np.ndarray]] = {}
+    for value in system._memo.values():
+        for state in memo_states(value):
+            by_dim.setdefault(state.dim, []).append(state.data)
+    assert {2, 2 ** system.n_qubits} <= by_dim.keys()
+    for matrices in by_dim.values():
+        check_density_matrices(np.stack(matrices), system.tol)
 
 
 def test_quantum_empty_part_repertoire_scores_infinite(monkeypatch):

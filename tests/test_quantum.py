@@ -376,6 +376,10 @@ class TestPhiMaxAndUnfold:
                     mechanisms=[(0,)])
         assert len(ds) == 1 and ds[0].mechanism_qubits == (0,)
 
+    def test_repeated_mechanism_qubit_is_an_error(self, cnot_system):
+        with pytest.raises(ValidationError, match="mechanism units must be distinct"):
+            unfold(cnot_system, pure(ket(1, 0)), mechanisms=[[0], [0, 0]])
+
     def test_separable_case_first_order_only(self, cnot_system):
         ds = unfold(cnot_system, pure(np.kron(ket(0), PLUS)))
         assert all(d.order == 1 for d in ds)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mechphi import __version__
 from mechphi.catalog import EXAMPLES, example_names, example_request
 from mechphi.cli import main
-from mechphi.errors import ValidationError
+from mechphi.errors import NumericError, ValidationError
 from mechphi.report import AnalysisReport, parse_request, render, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -167,12 +167,40 @@ class TestMalformedInput:
     def test_background_length_mismatch_exits_2(self, tmp_path, capsys, units, state):
         data = example_request("copy-xor-10")
         data["background"] = {"units": units, "state": state}
-        with pytest.raises(ValidationError, match="differ in length"):
+        with pytest.raises(ValidationError, match="^background: .* differ in length"):
             parse_request(data)
         path = tmp_path / "bg.json"
         path.write_text(json.dumps(data))
         assert main(["analyze", str(path), "--format", "json"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_background_unit_out_of_range_exits_2(self, tmp_path, capsys):
+        data = {**example_request("copy-xor-10"), "background": {"units": [5], "state": [0]}}
+        message = "background: background units (5,) out of range"
+        with pytest.raises(ValidationError) as exc:
+            parse_request(data)
+        assert str(exc.value) == message
+        path = tmp_path / "bg.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name, data, message", [
+        ("copy-xor-10", {"mechanisms": [[0], [0, 7]]},
+         "mechanisms[1]: mechanism units [7] invalid or fixed as background"),
+        ("copy-xor-10", {"mechanisms": [[0], [1]], "background": {"units": [1], "state": [0]}},
+         "mechanisms[1]: mechanism units [1] invalid or fixed as background"),
+        ("cnot-10", {"mechanisms": [[0, 7]]}, "mechanisms[0]: mechanism qubits (0, 7) out of range"),
+    ])
+    def test_out_of_range_mechanism_exits_2(self, tmp_path, capsys, name, data, message):
+        data = {**example_request(name), **data}
+        with pytest.raises(ValidationError) as exc:
+            parse_request(data)
+        assert str(exc.value) == message
+        path = tmp_path / "mech.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name", ["copy-xor-10", "cnot-10"])
     def test_repeated_mechanism_unit_exits_2(self, tmp_path, capsys, name):
@@ -191,6 +219,22 @@ class TestMalformedInput:
         try:
             parse_request(json.dumps(doc) if as_text else doc)
         except ValidationError:
+            pass
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                                "ignore:cause repertoire blocks do not commute",
+                                "ignore:symmetrized cause repertoire not PSD")
+    @settings(max_examples=200, deadline=None)  # about 1 in 30 parses
+    @given(mutated_requests())
+    def test_parsed_requests_end_in_a_report_or_an_error(self, doc):
+        """``run`` on a mutated request that parses ends in a report or a package error."""
+        try:
+            request = parse_request(doc)
+        except ValidationError:
+            return
+        try:
+            assert isinstance(run(request), AnalysisReport)
+        except (ValidationError, NumericError):
             pass
 
 
