@@ -156,29 +156,34 @@ class ClassicalSystem:
         # cond[i][s_0, ..., s_{n-1}, v] = p(unit i takes value v at t+1 | source state s)
         self._cond = [c.reshape(self.unit_state_counts + (-1,)) for c in cols]
 
-        if background is None:
-            self.background_units: tuple[int, ...] = ()
-            self.background_state: tuple[int, ...] = ()
-        else:
-            units, state = background
-            if len(units) != len(state):
-                raise ValidationError(
-                    f"background units {tuple(units)} and state {tuple(state)} differ in length")
-            bg = Mechanism.make(units, state)
-            if any(u < 0 or u >= self.n_units for u in bg.units):
-                raise ValidationError(f"background units {bg.units} out of range")
-            for u, s in zip(bg.units, bg.state):
-                if s < 0 or s >= self.unit_state_counts[u]:
-                    raise ValidationError(f"background state {s} invalid for unit {u}")
-            if len(bg.units) >= self.n_units:
-                raise ValidationError("background cannot cover every unit")
-            self.background_units = bg.units
-            self.background_state = bg.state
-
-        self.candidate_units = tuple(
-            u for u in range(self.n_units) if u not in self.background_units
-        )
+        self.background_units: tuple[int, ...] = ()
+        self.background_state: tuple[int, ...] = ()
+        self.candidate_units = tuple(range(self.n_units))
         self._memo: dict = {}
+        if background is not None:
+            units, state = background
+            self._fix_background(units, state)
+
+    def _fix_background(self, units: Sequence[int], state: Sequence[int]) -> None:
+        """Clamp ``units`` to ``state`` and exclude them; checked, before any analysis.
+
+        A separate step, so that a caller can tell background errors from
+        transition-matrix errors.
+        """
+        if len(units) != len(state):
+            raise ValidationError(
+                f"background units {tuple(units)} and state {tuple(state)} differ in length")
+        bg = Mechanism.make(units, state)
+        if any(u < 0 or u >= self.n_units for u in bg.units):
+            raise ValidationError(f"background units {bg.units} out of range")
+        for u, s in zip(bg.units, bg.state):
+            if s < 0 or s >= self.unit_state_counts[u]:
+                raise ValidationError(f"background state {s} invalid for unit {u}")
+        if len(bg.units) >= self.n_units:
+            raise ValidationError("background cannot cover every unit")
+        self.background_units = bg.units
+        self.background_state = bg.state
+        self.candidate_units = tuple(u for u in range(self.n_units) if u not in bg.units)
 
     # -- index helpers ----------------------------------------------------
 
@@ -394,17 +399,20 @@ def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
     Effects are compared to the mechanism-averaged effect repertoire, causes
     to the uniform distribution.  Returns (value, maximizing states); the
     states are None when the cause repertoire is empty, in which case the
-    value is 0 by convention.
+    value is 0 by convention.  Results are memoized per repertoire and
+    ``tie_tol``; the purview is checked on a memo miss only.
     """
-    purview = sys._check_units(purview, "purview")
-    rep = _repertoire(sys, mechanism, purview, direction)
-    if rep is None:
-        return 0.0, None
-    baseline = _unconstrained(sys, mechanism, purview, direction)
-    value, states = intrinsic_difference(
-        rep.probabilities, baseline.probabilities, support_tol=sys.tol, tie_tol=tie_tol
-    )
-    return value, states
+    key = ("ii", mechanism, purview := tuple(purview), direction, tie_tol)
+    if key not in sys._memo:
+        purview = sys._check_units(purview, "purview")
+        rep = _repertoire(sys, mechanism, purview, direction)
+        if rep is None:
+            sys._memo[key] = (0.0, None)
+        else:
+            baseline = _unconstrained(sys, mechanism, purview, direction)
+            sys._memo[key] = intrinsic_difference(
+                rep.probabilities, baseline.probabilities, support_tol=sys.tol, tie_tol=tie_tol)
+    return sys._memo[key]
 
 
 # -- partitioned repertoires and phi --------------------------------------
@@ -550,23 +558,40 @@ def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple
 
     The partitioned repertoire q of each row is read only at the intrinsic
     states in the support of p, from the factor table ``partitioned_repertoire``
-    also uses, so the two agree bit for bit.  Each value is the largest
-    p * log2(p / q) over those states, floored at 0; +inf where q has no
-    support or a part's cause repertoire is empty.
+    also uses, so the two agree bit for bit.  Each value is ``_score``'s;
+    +inf where a part's cause repertoire is empty.
     """
     p = _repertoire(sys, mechanism, purview, direction).probabilities
     live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
     factors, missing = _factor_table(sys, mechanism, purview, direction, part_m, part_z, live)
-    q = _products(factors, slots)
-    supported = q > sys.tol
-    ratio = np.divide(p[live], q, out=np.ones_like(q), where=supported)
+    values = _score(p[live], _products(factors, slots), sys.tol)
+    values[missing[slots].any(axis=1)] = math.inf
+    return values
+
+
+def _score(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of ``q``: the largest p * log2(p / q), floored at 0; +inf where q has no support."""
+    supported = q > tol
+    ratio = np.divide(p, q, out=np.ones_like(q), where=supported)
     # math.log2 rather than np.log2: numpy's SIMD log2 can differ from libm in
     # the last bit, and ``intrinsic_difference`` scores with math.log2.
     logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), float, ratio.size)
-    scores = np.where(supported, p[live] * logs.reshape(ratio.shape), math.inf)
-    values = scores.max(axis=1, initial=0.0)
-    values[missing[slots].any(axis=1)] = math.inf
-    return values
+    scores = np.where(supported, p * logs.reshape(ratio.shape), math.inf)
+    return scores.max(axis=1, initial=0.0)
+
+
+def _max_norm_phi(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
+                  direction: Direction, states: Sequence[int]) -> float:
+    """``phi`` of {(-, Z), (M, -)} at the intrinsic ``states``: the bound ``search.phi_max`` reads.
+
+    That partition's repertoire is the empty mechanism's over the purview,
+    equal entry for entry to its row of the factor table, so this scores
+    the row without building the table.
+    """
+    p = _repertoire(sys, mechanism, purview, direction).probabilities
+    q = _repertoire(sys, Mechanism((), ()), purview, direction).probabilities
+    live = [s for s in states if p[s] > sys.tol]
+    return float(_score(p[live], q[live][np.newaxis], sys.tol)[0])
 
 
 def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,
@@ -579,7 +604,7 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,
     sys._check_units(mechanism.units, "mechanism")
     sys._check_state(mechanism)
     found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
-                           tie_tol, mip, intrinsic_information, phi)
+                           tie_tol, mip, intrinsic_information, phi, _max_norm_phi)
     if found is None:
         return None
     z_states = sys.subset_states(found.purview)

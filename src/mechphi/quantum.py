@@ -598,19 +598,18 @@ def _part_table(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple[
     return (*_gather(purview, factors), empty)
 
 
-def _phi_against(stack: np.ndarray, eigenstates: Sequence[tuple[float, np.ndarray]],
+def _phi_against(w: np.ndarray, v: np.ndarray, eigenstates: Sequence[tuple[float, np.ndarray]],
                  tol: float) -> np.ndarray:
-    """Largest QID score of the intrinsic eigenstates against each matrix of ``stack``.
+    """Largest QID score of the intrinsic eigenstates against each state of a stack.
 
-    Each score is floored at 0.  Raises unless every matrix is a state; the
-    scores read the eigensystems of that check (``check_density_matrices``).
+    ``w`` and ``v`` are the stack's eigenvalues and eigenvectors, each row
+    sorted descending.  Each score is floored at 0.
     """
-    w, v = sort_descending(*check_density_matrices(stack, tol))
     q = np.clip(w, 0.0, None)
     return np.array([
         max([0.0, *(_eigen_score(p_i, np.abs(vec.conj() @ v[i]) ** 2, q[i], tol)
                     for p_i, vec in eigenstates)])
-        for i in range(len(stack))
+        for i in range(len(w))
     ])
 
 
@@ -655,15 +654,31 @@ def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
     The pair's part table (``_part_table``) is built once.  The partitions
     without an empty part cause repertoire are scored together: one stack of
     their tensor products (``_assemble``), checked like any ``DensityMatrix``
-    and decomposed by one batched ``eigh`` (``_phi_against``).  The others
-    score +inf.  ``phi`` is the one-row case.
+    and decomposed by that check's one batched ``eigh``, then scored by
+    ``_phi_against``.  The others score +inf.  ``phi`` is the one-row case.
     """
     table, used, empty = _part_table(sys, mechanism, purview, direction, part_m, part_z)
     values = np.full(len(slots), math.inf)
     rows = np.flatnonzero(~empty[slots].any(axis=1))
     if len(rows):
-        values[rows] = _phi_against(_assemble(table, used, slots[rows]), eigenstates, sys.tol)
+        w, v = sort_descending(*check_density_matrices(_assemble(table, used, slots[rows]),
+                                                       sys.tol))
+        values[rows] = _phi_against(w, v, eigenstates, sys.tol)
     return values
+
+
+def _max_norm_phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple[int, ...],
+                  direction: Direction, eigenstates: Sequence[tuple[float, np.ndarray]]
+                  ) -> float:
+    """``phi`` of {(-, Z), (M, -)}: the bound ``search.phi_max`` reads.
+
+    That partition's product is I/d, entry for entry, and the stored I/d
+    eigensystem equals the one the stack check computes for it, so this
+    scores the row without building or decomposing it.
+    """
+    es = _mixed_states()[len(purview)][1]
+    return float(_phi_against(es.eigenvalues[np.newaxis], es.eigenvectors[np.newaxis],
+                              eigenstates, sys.tol)[0])
 
 
 def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction,
@@ -679,7 +694,7 @@ def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Directio
     """
     qubits = _check_mechanism(sys, mechanism)
     found = search.phi_max(sys, mechanism, qubits, sys.qubit_range(), direction, tie_tol,
-                           mip, intrinsic_information, phi)
+                           mip, intrinsic_information, phi, _max_norm_phi)
     if found is None:
         return None
     eigenvalues = tuple(p for p, _ in found.states)

@@ -176,9 +176,9 @@ def _parse_classical(data: dict, direction: str, tol: float,
         system = classical.ClassicalSystem(counts, tpm.real, tol=tol)
     except ValidationError as exc:
         raise ValidationError(f"tpm: {exc}") from None
-    if background is not None:  # built again: only the background can fail now
+    if background is not None:
         try:
-            system = classical.ClassicalSystem(counts, tpm.real, background=background, tol=tol)
+            system._fix_background(*background)
         except ValidationError as exc:
             raise ValidationError(f"background: {exc}") from None
     _check_mechanisms(mech_subsets, system._check_units)

@@ -1,19 +1,28 @@
 """The search both backends run: minimum partition, purview maximization, unfolding.
 
 A backend supplies the substrate: ``intrinsic_information``, ``phi`` for one
-partition and ``score_partitions`` for every partition of a (mechanism,
-purview) pair.  It passes them in on each call, so a replaced module
-attribute (a tracer, a test double) is seen here.
+partition, ``score_partitions`` for every partition of a (mechanism, purview)
+pair and ``bound``, the phi of the max-norm partition.  It passes them in on
+each call, so a replaced module attribute (a tracer, a test double) is seen
+here.
+
+The purview search visits purviews in descending order of that bound and
+stops once no purview left can change the selection.  The bound is exact:
+for every partition, phi_MIP / norm_MIP <= phi / norm, and the partition
+{(-, Z), (M, -)} has the largest norm, |M| * |Z|, so phi_MIP never exceeds
+its phi, in floating point too (``mip``'s argmin keeps the smaller phi
+among equal ratios).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .partitions import DisintegratingPartition, Units, normalization, partition_shape
 
 Direction = Literal["cause", "effect"]
@@ -60,27 +69,49 @@ def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
         return shape.partition(0, m_units, purview), 0.0
     values = score_partitions(sys, mechanism, purview, direction, states, shape.slots,
                               shape.part_m, shape.part_z)
-    # lexsort is stable: equal (value / norm, value) keys keep enumeration order.
-    best = int(np.lexsort((values, values / shape.norms))[0])
+    if np.isnan(values).any():  # NaN would order differently here than in a sort
+        raise NumericError(f"partition scores of purview {purview} contain NaN")
+    # flatnonzero and argmin both keep the lowest index among equals.
+    ratio = values / shape.norms
+    tied = np.flatnonzero(ratio == ratio.min())
+    best = int(tied[np.argmin(values[tied])])
     return shape.partition(best, m_units, purview), float(values[best])
 
 
 def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
             direction: Direction, tie_tol: float, mip: Callable,
-            intrinsic_information: Callable, phi: Callable) -> Optional[Selection]:
+            intrinsic_information: Callable, phi: Callable, bound: Callable
+            ) -> Optional[Selection]:
     """Maximally irreducible purview over subsets of ``candidates``, or None.
 
     Purviews tying within ``tie_tol`` resolve toward the larger purview, then
     the lower units; the others are recorded.  Intrinsic states tying at the
     MIP are all kept.  None when no purview has phi above ``tie_tol``.
+
+    ``bound(sys, mechanism, purview, direction, states)`` is the phi of
+    {(-, Z), (M, -)} at the intrinsic ``states``, bit for bit the value
+    ``score_partitions`` gives that row; a purview without intrinsic states
+    has bound 0.  ``mip`` runs in descending bound order, ties in subset
+    order.  It stops at the first bound below the best phi found minus
+    ``tie_tol``, where no purview left can win or tie, or not above
+    ``tie_tol`` while the best phi is not either, where none can lift phi
+    above ``tie_tol``.
     """
     if not m_units:
         raise ValidationError("mechanism must be nonempty")
-    per_purview = {
-        purview: mip(sys, mechanism, purview, direction, tie_tol)
-        for purview in all_subsets(candidates)
-    }
-    best_phi = max(v for _, v in per_purview.values())
+    bounds = []
+    for purview in all_subsets(candidates):
+        _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+        bounds.append((0.0 if states is None else
+                       bound(sys, mechanism, purview, direction, states), purview))
+    bounds.sort(key=lambda pair: -pair[0])  # stable
+    per_purview: dict = {}
+    best_phi = -math.inf
+    for top, purview in bounds:
+        if top < best_phi - tie_tol or max(top, best_phi) <= tie_tol:
+            break
+        per_purview[purview] = mip(sys, mechanism, purview, direction, tie_tol)
+        best_phi = max(best_phi, per_purview[purview][1])
     if not best_phi > tie_tol:
         return None
     tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tie_tol]
@@ -89,12 +120,14 @@ def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
     theta, value = per_purview[selected]
 
     _, states = intrinsic_information(sys, mechanism, selected, direction, tie_tol)
-    scored = [(phi(sys, mechanism, selected, theta, direction, [s], tie_tol), s)
-              for s in states]
-    top = max(v for v, _ in scored)
+    if len(states) > 1:
+        scored = [(phi(sys, mechanism, selected, theta, direction, [s], tie_tol), s)
+                  for s in states]
+        top = max(v for v, _ in scored)
+        states = [s for v, s in scored if v >= top - tie_tol]
     return Selection(
         purview=selected,
-        states=[s for v, s in scored if v >= top - tie_tol],
+        states=list(states),
         phi=max(value, 0.0),
         mip=theta,
         normalization=normalization(theta, m_units, selected),

@@ -17,7 +17,10 @@ repertoire, ``np.kron`` of the parts, a permutation into purview order, a
 ``DensityMatrix`` and one ``hermitian_eig`` per partition.  Repertoires,
 partitioned repertoires, minimum partitions and their values must agree bit
 for bit on every (mechanism, purview) pair of random and deterministic
-systems, with and without background units.
+systems, with and without background units.  ``oracle_phi_max`` is the
+purview search as first written: the MIP of every purview.  The bounded
+search must select exactly as it does, and each backend's bound must equal,
+under ``==``, the score its MIP search gives the bounding partition.
 """
 
 from __future__ import annotations
@@ -38,9 +41,15 @@ from conftest import (
 )
 from mechphi import classical as cl
 from mechphi import quantum as qm
+from mechphi import search
 from mechphi.catalog import example_names, example_request
-from mechphi.errors import ValidationError
-from mechphi.partitions import DisintegratingPartition, enumerate_disintegrating, normalization
+from mechphi.errors import NumericError, ValidationError
+from mechphi.partitions import (
+    DisintegratingPartition,
+    enumerate_disintegrating,
+    normalization,
+    partition_shape,
+)
 from mechphi.report import parse_request
 from mechphi.search import all_subsets
 from mechphi.tensor import (
@@ -51,6 +60,7 @@ from mechphi.tensor import (
     hermitian_eig,
     partial_trace,
     permute_subsystems,
+    sort_descending,
 )
 
 
@@ -708,3 +718,192 @@ def test_quantum_mip_checks_every_partitioned_repertoire(monkeypatch, part, mess
     monkeypatch.setattr(qm, "_part_rho", bad_part_rho)
     with pytest.raises(ValidationError, match=message):
         qm.mip(system, mech, (0, 1), "effect")
+
+
+# -- purview search ---------------------------------------------------------
+
+
+def oracle_phi_max(sys, mechanism, m_units, candidates, direction, tie_tol, mip,
+                   intrinsic_information, phi):
+    """``search.phi_max`` as first written: the MIP of every purview, then every state re-scored."""
+    if not m_units:
+        raise ValidationError("mechanism must be nonempty")
+    per_purview = {
+        purview: mip(sys, mechanism, purview, direction, tie_tol)
+        for purview in all_subsets(candidates)
+    }
+    best_phi = max(v for _, v in per_purview.values())
+    if not best_phi > tie_tol:
+        return None
+    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tie_tol]
+    tied.sort(key=lambda z: (-len(z), z))
+    selected = tied[0]
+    theta, value = per_purview[selected]
+
+    _, states = intrinsic_information(sys, mechanism, selected, direction, tie_tol)
+    scored = [(phi(sys, mechanism, selected, theta, direction, [s], tie_tol), s)
+              for s in states]
+    top = max(v for v, _ in scored)
+    return search.Selection(
+        purview=selected,
+        states=[s for v, s in scored if v >= top - tie_tol],
+        phi=max(value, 0.0),
+        mip=theta,
+        normalization=normalization(theta, m_units, selected),
+        tied_purviews=tuple(tied[1:]),
+    )
+
+
+def same_states(got, want) -> bool:
+    """Equal intrinsic states: classical state indices, or quantum (eigenvalue, vector) pairs."""
+    if len(got) != len(want):
+        return False
+    return all(g == w if isinstance(g, int) else
+               g[0] == w[0] and g[1].tobytes() == w[1].tobytes()
+               for g, w in zip(got, want))
+
+
+def mechanisms_of(system, state):
+    """(backend, mechanism, mechanism units, candidates, direction) of every subset, both ways.
+
+    ``state`` is a classical (state_t, state_t1) pair or a quantum ``rho_t``.
+    """
+    if isinstance(system, qm.QuantumSystem):
+        for direction in ("effect", "cause"):
+            base = state if direction == "effect" else apply_unitary(system.unitary, state)
+            for qubits in all_subsets(system.qubit_range()):
+                yield (qm, system.mechanism(qubits, base), qubits, system.qubit_range(),
+                       direction)
+        return
+    for direction, full in zip(("effect", "cause"), state):
+        for units in all_subsets(system.candidate_units):
+            mech = cl.Mechanism(units, system.state_of(full, units))
+            yield cl, mech, units, system.candidate_units, direction
+
+
+def max_norm_row(m_units, purview) -> int:
+    """The index of {(-, Z), (M, -)} in the canonical enumeration of the pair."""
+    theta = DisintegratingPartition.from_parts([((), purview), (m_units, ())])
+    return enumerate_disintegrating(m_units, purview).index(theta)
+
+
+def assert_search_matches_oracle(system, state, tie_tol=cl.DEFAULT_TOL):
+    """Every selection equals the oracle's; every bound equals its row, and bounds phi_MIP."""
+    for backend, mech, m_units, candidates, direction in mechanisms_of(system, state):
+        where = (direction, m_units)
+        args = (system, mech, m_units, candidates, direction, tie_tol, backend.mip,
+                backend.intrinsic_information, backend.phi)
+        got = search.phi_max(*args, backend._max_norm_phi)
+        want = oracle_phi_max(*args)
+        assert (got is None) == (want is None), where
+        if got is not None:
+            assert same_states(got.states, want.states), where
+            assert got._replace(states=None) == want._replace(states=None), where
+        for purview in all_subsets(candidates):
+            _, states = backend.intrinsic_information(system, mech, purview, direction, tie_tol)
+            if states is None:
+                continue
+            shape = partition_shape(len(m_units), len(purview))
+            row = backend._score_partitions(system, mech, purview, direction, states,
+                                            shape.slots, shape.part_m, shape.part_z)
+            bound = backend._max_norm_phi(system, mech, purview, direction, states)
+            assert bound == row[max_norm_row(m_units, purview)], (where, purview)
+            assert backend.mip(system, mech, purview, direction, tie_tol)[1] <= bound
+
+
+def catalog_cases():
+    for name in example_names():
+        request = parse_request(example_request(name))
+        if request.backend == "quantum":
+            yield pytest.param(request.system, request.rho_t, id=name)
+        else:
+            state_t1 = request.state_t1 or request.state_t
+            yield pytest.param(request.system, (request.state_t, state_t1), id=name)
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("tie_tol", [cl.DEFAULT_TOL, 0.25])
+@pytest.mark.parametrize("system, state", [*catalog_cases()])
+def test_search_matches_every_purview_oracle_on_the_catalog(system, state, tie_tol):
+    """Also at a tolerance wide enough for both stopping rules to act near it."""
+    assert_search_matches_oracle(system, state, tie_tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(networks(), st.data())
+def test_search_matches_every_purview_oracle_on_small_networks(net, data):
+    system, state_t = net
+    state_t1 = tuple(data.draw(st.integers(0, c - 1)) for c in system.unit_state_counts)
+    assert_search_matches_oracle(system, (state_t, state_t1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(networks(min_units=3, max_units=4, background=1)
+       .filter(lambda net: net[0].num_states <= 24))
+def test_search_matches_every_purview_oracle_with_a_background_unit(net):
+    system, state = net
+    assert_search_matches_oracle(system, (state, state))
+
+
+def three_qubit_cases():
+    rng = np.random.default_rng(48271)
+    for rank, kind in ((1, "pure"), (1, "pure"), (8, "mixed"), (3, "mixed")):
+        u = random_unitary(rng, 8)
+        yield pytest.param(qm.QuantumSystem(u), random_density(rng, 8, rank), id=f"3q-{kind}")
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("system, rho", [*three_qubit_cases()])
+def test_search_matches_every_purview_oracle_on_three_qubits(system, rho):
+    assert_search_matches_oracle(system, rho)
+
+
+def test_stored_mixed_eigensystems_are_the_stack_check_of_i_over_d():
+    """The bound scores I/d from the eigensystem the MIP stack check would compute."""
+    for n, (rho, eig) in qm._mixed_states().items():
+        w, v = sort_descending(*check_density_matrices(rho.data[np.newaxis]))
+        assert eig.eigenvalues.tobytes() == w[0].tobytes()
+        assert eig.eigenvectors.tobytes() == v[0].tobytes()
+
+
+def test_search_skips_purviews_and_rescores_only_tied_states():
+    """Fewer MIPs than purviews; ``phi`` re-scores only a selection with several states."""
+    request = parse_request(example_request("ghz-identity"))
+    system = request.system
+    mip_calls, purviews = [], 0
+    for backend, mech, m_units, candidates, direction in mechanisms_of(system, request.rho_t):
+        phi_calls = []
+        found = search.phi_max(
+            system, mech, m_units, candidates, direction, qm.DEFAULT_TOL,
+            lambda *args: mip_calls.append(args) or qm.mip(*args),
+            qm.intrinsic_information,
+            lambda *args: phi_calls.append(args) or qm.phi(*args),
+            qm._max_norm_phi)
+        purviews += len(all_subsets(candidates))
+        if found is not None:
+            _, states = qm.intrinsic_information(system, mech, found.purview, direction)
+            assert len(phi_calls) == (0 if len(states) == 1 else len(states))
+    assert 0 < len(mip_calls) < purviews
+
+
+def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
+    """Random tied scores: the MIP is the first row by (phi / norm, phi)."""
+    rng = np.random.default_rng(5)
+    shape = partition_shape(2, 2)
+    mech = cl.Mechanism((0, 1), (1, 0))
+    for _ in range(200):
+        values = rng.choice([0.0, 0.5, 1.0, 2.0, math.inf], size=len(shape.slots))
+        theta, value = search.mip(
+            copy_xor, mech, (0, 1), (0, 1), "effect", cl.DEFAULT_TOL,
+            lambda *args: (1.0, (0,)), lambda *args: values.copy())
+        best = int(np.lexsort((values, values / shape.norms))[0])
+        assert theta == shape.partition(best, (0, 1), (0, 1)) and value == values[best]
+
+
+def test_mip_rejects_nan_scores(copy_xor):
+    mech = cl.Mechanism((0, 1), (1, 0))
+    with pytest.raises(NumericError, match="NaN"):
+        search.mip(copy_xor, mech, (0, 1), (0,), "effect", cl.DEFAULT_TOL,
+                   lambda *args: (1.0, (0,)), lambda *args: np.array([0.5, math.nan, 1.0]))

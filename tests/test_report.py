@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechphi import __version__
+from mechphi import __version__, classical
 from mechphi.catalog import EXAMPLES, example_names, example_request
 from mechphi.cli import main
 from mechphi.errors import NumericError, ValidationError
@@ -184,6 +184,24 @@ class TestMalformedInput:
         path.write_text(json.dumps(data))
         assert main(["analyze", str(path), "--format", "json"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_background_request_builds_the_system_once(self, monkeypatch):
+        built = []
+        init = classical.ClassicalSystem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(classical.ClassicalSystem, "__init__", counting_init)
+        data = {**example_request("copy-xor-10"), "background": {"units": [0], "state": [1]}}
+        request = parse_request(data)
+        assert len(built) == 1
+        assert request.system.background_units == (0,)
+        assert request.system.candidate_units == (1,)
+        data["tpm"] = [[1, 0, 0, 0]] * 3 + [[0.5, 0, 0, 0]]
+        with pytest.raises(ValidationError, match="^tpm: tpm row 3"):
+            parse_request(data)
 
     @pytest.mark.parametrize("name, data, message", [
         ("copy-xor-10", {"mechanisms": [[0], [0, 7]]},
