@@ -35,7 +35,7 @@ CNOT = COPY_XOR_TPM  # the permutation matrix doubles as the gate
 
 _ICNOT = _kron(_eye(2), CNOT)
 
-_GHZ = [_S2, 0, 0, 0, 0, 0, 0, _S2]
+GHZ = [_S2, 0, 0, 0, 0, 0, 0, _S2]
 _W = [0, _S3, _S3, 0, _S3, 0, 0, 0]
 
 
@@ -95,11 +95,11 @@ EXAMPLES: dict[str, dict] = {
     },
     "icnot-ghz": {
         "description": "I(x)CNOT on GHZ: the mixed two-qubit case embedded in three qubits.",
-        "request": _quantum(3, _ICNOT, _pure(_GHZ)),
+        "request": _quantum(3, _ICNOT, _pure(GHZ)),
     },
     "ghz-identity": {
         "description": "GHZ under identity dynamics: one third-order self-constraint.",
-        "request": _quantum(3, _eye(8), _pure(_GHZ), direction="effect"),
+        "request": _quantum(3, _eye(8), _pure(GHZ), direction="effect"),
     },
     "w-identity": {
         "description": "W state under identity dynamics: self-constraints at every order.",

@@ -13,7 +13,9 @@ repertoire the normalized product of per-unit likelihoods.
 
 Probabilities over a unit subset are indexed big-endian in ascending unit
 order (lowest unit index = most significant digit).  All scores are in ibits
-(base-2 logarithms weighted by the probability of the scored state).
+(base-2 logarithms weighted by the probability of the scored state).  A
+system has one tolerance, ``tol``: it bounds the input checks, decides which
+probabilities are in a support and which scores tie.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ class Mechanism(NamedTuple):
 
 @dataclass(frozen=True)
 class ClassicalRepertoire:
-    """A probability distribution a mechanism specifies over a purview."""
+    """A probability distribution a mechanism specifies over a purview, read-only.
+
+    Built only here, from the system's validated TPM, so it is not re-checked.
+    """
 
     purview: tuple[int, ...]
     probabilities: np.ndarray
@@ -67,8 +72,6 @@ class ClassicalRepertoire:
         probs = np.asarray(self.probabilities, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
-        if abs(float(probs.sum()) - 1.0) > 1e-9 or float(probs.min()) < -1e-9:
-            raise ValidationError("repertoire is not a probability distribution")
 
 
 @dataclass(frozen=True)
@@ -353,65 +356,64 @@ def _unconstrained(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[in
 # -- information measures -------------------------------------------------
 
 
-def _pointwise(p: float, q: float, support_tol: float) -> float:
+def _pointwise(p: float, q: float, tol: float) -> float:
     """p * log2(p / q); 0 where p is not in the support, +inf where q is not."""
-    if p <= support_tol:
+    if p <= tol:
         return 0.0
-    return math.inf if q <= support_tol else p * math.log2(p / q)
+    return math.inf if q <= tol else p * math.log2(p / q)
 
 
-def intrinsic_difference(p, q, support_tol: float = DEFAULT_TOL,
-                         tie_tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:
+def intrinsic_difference(p, q, tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:
     """max_s p_s * log2(p_s / q_s), with the maximizing state(s).
 
-    Zero-probability states contribute 0; a state with p > 0 but q = 0 makes
-    the value +inf.  States within ``tie_tol`` of the maximum are all
-    returned, the winning value first among equals.
+    Probabilities within ``tol`` of 0 are outside the support: such a state
+    contributes 0, and one with p > 0 but q = 0 makes the value +inf.  States
+    within ``tol`` of the maximum are all returned, the winning value first
+    among equals.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValidationError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    vals = np.array([_pointwise(ps, qs, support_tol) for ps, qs in zip(p, q)])
+    vals = np.array([_pointwise(ps, qs, tol) for ps, qs in zip(p, q)])
     value = float(np.max(vals)) if len(vals) else 0.0
     if math.isinf(value):
         states = tuple(int(s) for s in np.nonzero(np.isinf(vals))[0])
     else:
-        states = tuple(int(s) for s in np.nonzero(vals >= value - tie_tol)[0])
+        states = tuple(int(s) for s in np.nonzero(vals >= value - tol)[0])
     return value, states
 
 
-def kld(p, q, support_tol: float = DEFAULT_TOL) -> float:
+def kld(p, q, tol: float = DEFAULT_TOL) -> float:
     """Kullback-Leibler divergence in bits: sum_s p_s log2(p_s / q_s)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValidationError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    return sum((_pointwise(ps, qs, support_tol) for ps, qs in zip(p, q)), 0.0)
+    return sum((_pointwise(ps, qs, tol) for ps, qs in zip(p, q)), 0.0)
 
 
 def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
-                          purview: Iterable[int], direction: Direction,
-                          tie_tol: float = DEFAULT_TOL
+                          purview: Iterable[int], direction: Direction
                           ) -> tuple[float, Optional[tuple[int, ...]]]:
     """Intrinsic difference between the constrained repertoire and chance.
 
     Effects are compared to the mechanism-averaged effect repertoire, causes
     to the uniform distribution.  Returns (value, maximizing states); the
     states are None when the cause repertoire is empty, in which case the
-    value is 0 by convention.  Results are memoized per repertoire and
-    ``tie_tol``; the purview is checked on a memo miss only.
+    value is 0 by convention.  Supports and ties are taken at ``sys.tol``.
+    Results are memoized per repertoire; the repertoire functions check the
+    arguments on a memo miss.
     """
-    key = ("ii", mechanism, purview := tuple(purview), direction, tie_tol)
+    key = ("ii", mechanism, purview := tuple(purview), direction)
     if key not in sys._memo:
-        purview = sys._check_units(purview, "purview")
         rep = _repertoire(sys, mechanism, purview, direction)
         if rep is None:
             sys._memo[key] = (0.0, None)
         else:
-            baseline = _unconstrained(sys, mechanism, purview, direction)
-            sys._memo[key] = intrinsic_difference(
-                rep.probabilities, baseline.probabilities, support_tol=sys.tol, tie_tol=tie_tol)
+            baseline = _unconstrained(sys, mechanism, rep.purview, direction)
+            sys._memo[key] = intrinsic_difference(rep.probabilities, baseline.probabilities,
+                                                  sys.tol)
     return sys._memo[key]
 
 
@@ -509,7 +511,7 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     A part with an empty purview contributes a scalar 1.  Returns None if a
     part's cause repertoire is empty.
     """
-    purview = sys._check_units(purview, "purview")
+    purview = _checked(sys, mechanism, tuple(purview))
     n = math.prod(sys.unit_state_counts[u] for u in purview)
     factors, missing = _factor_table(sys, mechanism, purview, direction,
                                      *part_masks(theta.parts, sorted(mechanism.units), purview),
@@ -521,7 +523,7 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
 
 def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
         theta: DisintegratingPartition, direction: Direction,
-        states: Optional[Sequence[int]] = None, tie_tol: float = DEFAULT_TOL) -> float:
+        states: Optional[Sequence[int]] = None) -> float:
     """Pointwise divergence at the intrinsic state against the partitioned repertoire.
 
     With tied intrinsic states the maximum over them is kept.  Returns +inf
@@ -532,15 +534,14 @@ def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     if _repertoire(sys, mechanism, purview, direction) is None:
         return 0.0
     if states is None:
-        _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+        _, states = intrinsic_information(sys, mechanism, purview, direction)
     return float(_score_partitions(sys, mechanism, purview, direction, states,
                                    np.arange(theta.k)[np.newaxis],
                                    *part_masks(theta.parts, sorted(mechanism.units), purview))[0])
 
 
 def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
-        direction: Direction, tie_tol: float = DEFAULT_TOL
-        ) -> tuple[DisintegratingPartition, float]:
+        direction: Direction) -> tuple[DisintegratingPartition, float]:
     """Minimum partition: argmin over partitions of phi / severed-pair count.
 
     The returned value is the unnormalized phi at the minimizing partition;
@@ -548,7 +549,7 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     """
     purview = sys._check_units(purview, "purview")
     return search.mip(sys, mechanism, tuple(sorted(mechanism.units)), purview, direction,
-                      tie_tol, intrinsic_information, _score_partitions)
+                      intrinsic_information, _score_partitions)
 
 
 def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
@@ -594,8 +595,8 @@ def _max_norm_phi(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int
     return float(_score(p[live], q[live][np.newaxis], sys.tol)[0])
 
 
-def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,
-            tie_tol: float = DEFAULT_TOL) -> Optional[ClassicalDistinction]:
+def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
+            ) -> Optional[ClassicalDistinction]:
     """Maximally irreducible purview for a mechanism, or None if fully reducible.
 
     Purview and intrinsic-state ties are resolved by ``search.phi_max``;
@@ -604,7 +605,7 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,
     sys._check_units(mechanism.units, "mechanism")
     sys._check_state(mechanism)
     found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
-                           tie_tol, mip, intrinsic_information, phi, _max_norm_phi)
+                           mip, intrinsic_information, phi, _max_norm_phi)
     if found is None:
         return None
     z_states = sys.subset_states(found.purview)
@@ -618,8 +619,8 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,
 def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,
            state_t1: Optional[Sequence[int]] = None,
            directions: Sequence[Direction] = (EFFECT, CAUSE),
-           mechanisms: Optional[Sequence[Sequence[int]]] = None,
-           tie_tol: float = DEFAULT_TOL) -> list[ClassicalDistinction]:
+           mechanisms: Optional[Sequence[Sequence[int]]] = None
+           ) -> list[ClassicalDistinction]:
     """All distinctions of a system state: phi_max per mechanism subset.
 
     Effects are evaluated for mechanisms drawn from ``state_t``, causes for
@@ -639,7 +640,7 @@ def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,
         return lambda units: Mechanism(units, sys.state_of(base, units))
 
     return search.unfold(directions, subsets, mechanisms_in,
-                         lambda mech, direction: phi_max(sys, mech, direction, tie_tol))
+                         lambda mech, direction: phi_max(sys, mech, direction))
 
 
 def _check_full_state(sys: ClassicalSystem, state: Sequence[int]) -> tuple[int, ...]:

@@ -153,12 +153,26 @@ def relabel(part_m: np.ndarray, part_z: np.ndarray, mechanism: Units,
 
 def part_masks(parts: Iterable[tuple[Units, Units]], mechanism: Units,
                purview: Units) -> tuple[np.ndarray, np.ndarray]:
-    """(part_m, part_z) position masks of labeled ``parts``, as ``PartitionShape`` holds them."""
+    """(part_m, part_z) position masks of labeled ``parts``, as ``PartitionShape`` holds them.
+
+    The parts must be a disintegrating partition of (``mechanism``,
+    ``purview``): at least two nonempty parts, each unit of the pair in
+    exactly one part, no unit outside the pair, and no part pairing the whole
+    mechanism with a purview.
+    """
     parts = list(parts)
-    part_m = np.array([[u in m for u in mechanism] for m, _ in parts], dtype=bool)
-    part_z = np.array([[u in z for u in purview] for _, z in parts], dtype=bool)
-    return (part_m.reshape(len(parts), len(mechanism)),
-            part_z.reshape(len(parts), len(purview)))
+    part_m = np.array([[u in m for u in mechanism] for m, _ in parts],
+                      dtype=bool).reshape(len(parts), len(mechanism))
+    part_z = np.array([[u in z for u in purview] for _, z in parts],
+                      dtype=bool).reshape(len(parts), len(purview))
+    both = np.hstack([part_m, part_z])
+    if (len(parts) < 2 or sum(len(m) + len(z) for m, z in parts) != both.shape[1]
+            or (both.sum(axis=0) != 1).any() or not both.any(axis=1).all()
+            or (part_m.all(axis=1) & part_z.any(axis=1)).any()):
+        raise ValidationError(
+            f"parts {parts} are not a disintegrating partition of mechanism "
+            f"{tuple(mechanism)} and purview {tuple(purview)}")
+    return part_m, part_z
 
 
 @lru_cache(maxsize=None)

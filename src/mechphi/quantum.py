@@ -469,23 +469,23 @@ def fix_global_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(amp) / amp)
 
 
-def qid(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL,
-        tie_tol: float = DEFAULT_TOL
+def qid(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL
         ) -> tuple[float, list[tuple[float, np.ndarray]]]:
     """Eigenvector-maximized intrinsic difference between density matrices.
 
     For each eigenvector |i> of rho with eigenvalue p_i the pointwise score
     is p_i (log2 p_i - sum_j |<i|j>|^2 log2 q_j) over sigma's eigensystem;
-    the maximum and all (eigenvalue, eigenvector) pairs within ``tie_tol`` of
-    it are returned.  Zero-eigenvalue eigenvectors score 0; a sigma support
-    deficiency makes the score +inf.  Coincides with the classical measure on
-    commuting pairs and with the relative entropy when rho is pure.
+    the maximum and all (eigenvalue, eigenvector) pairs within ``tol`` of it
+    are returned.  Eigenvalues within ``tol`` of 0 are outside the support:
+    their eigenvectors score 0, and a sigma support deficiency makes the
+    score +inf.  Coincides with the classical measure on commuting pairs and
+    with the relative entropy when rho is pure.
     """
-    return _qid(_eigensystems(rho, sigma, tol), tol, tie_tol)
+    return _qid(_eigensystems(rho, sigma, tol), tol)
 
 
-def _qid(eigensystems: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tol: float,
-         tie_tol: float) -> tuple[float, list[tuple[float, np.ndarray]]]:
+def _qid(eigensystems: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tol: float
+         ) -> tuple[float, list[tuple[float, np.ndarray]]]:
     """``qid`` from the ``_eigensystems`` of its two states."""
     p, vectors, q, overlap = eigensystems
     scores = np.array([_eigen_score(p[i], overlap[i], q, tol) for i in range(len(p))])
@@ -493,7 +493,7 @@ def _qid(eigensystems: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], to
     if math.isinf(value):
         winners = [i for i in range(len(p)) if math.isinf(scores[i])]
     else:
-        winners = [i for i in range(len(p)) if scores[i] >= value - tie_tol]
+        winners = [i for i in range(len(p)) if scores[i] >= value - tol]
     states = [(float(p[i]), fix_global_phase(vectors[:, i].copy())) for i in winners]
     for _, vec in states:  # memoized results are shared: keep them read-only
         vec.setflags(write=False)
@@ -501,25 +501,24 @@ def _qid(eigensystems: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], to
 
 
 def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
-                          purview: Iterable[int], direction: Direction,
-                          tie_tol: float = DEFAULT_TOL
+                          purview: Iterable[int], direction: Direction
                           ) -> tuple[float, Optional[list[tuple[float, np.ndarray]]]]:
     """QID of the constrained repertoire against the maximally mixed state.
 
     The unconstrained repertoire is maximally mixed in both directions under
     unitary dynamics, so the intrinsic state is the repertoire eigenvector
     with maximal eigenvalue (the full eigenspace when degenerate).  Returns
-    (0, None) for an empty cause repertoire.  Results are memoized per
-    repertoire and ``tie_tol``; I/d's eigensystem is built once per process.
-    The repertoire functions check the arguments.
+    (0, None) for an empty cause repertoire.  Supports and ties are taken at
+    ``sys.tol``.  Results are memoized per repertoire; I/d's eigensystem is
+    built once per process.  The repertoire functions check the arguments.
     """
     rep = _repertoire(sys, mechanism, purview, direction)
     if rep is None:
         return 0.0, None
-    key = ("qid", direction, mechanism.qubits, _state_bytes(sys, mechanism), rep.purview, tie_tol)
+    key = ("qid", direction, mechanism.qubits, _state_bytes(sys, mechanism), rep.purview)
     if key not in sys._memo:
         mixed, mixed_eig = _mixed_states()[len(rep.purview)]
-        sys._memo[key] = _qid(_eigensystems(rep.rho, mixed, sys.tol, mixed_eig), sys.tol, tie_tol)
+        sys._memo[key] = _qid(_eigensystems(rep.rho, mixed, sys.tol, mixed_eig), sys.tol)
     value, states = sys._memo[key]
     return value, list(states)
 
@@ -568,7 +567,7 @@ def partitioned_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     the entanglement structure, so entanglement it destroys will register as
     irreducibility.  Returns None if a part's cause repertoire is empty.
     """
-    purview = sys._check_qubits(purview, "purview")
+    purview = _checked(sys, mechanism, tuple(purview))
     table, used, empty = _part_table(sys, mechanism, purview, direction,
                                      *part_masks(theta.parts, mechanism.qubits, purview))
     if empty.any():
@@ -615,8 +614,7 @@ def _phi_against(w: np.ndarray, v: np.ndarray, eigenstates: Sequence[tuple[float
 
 def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
         theta: DisintegratingPartition, direction: Direction,
-        eigenstates: Optional[Sequence[tuple[float, np.ndarray]]] = None,
-        tie_tol: float = DEFAULT_TOL) -> float:
+        eigenstates: Optional[Sequence[tuple[float, np.ndarray]]] = None) -> float:
     """QID score at the intrinsic eigenstate against the partitioned repertoire.
 
     With a degenerate intrinsic eigenspace the score is evaluated per basis
@@ -625,7 +623,7 @@ def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
     """
     purview = sys._check_qubits(purview, "purview")
     if eigenstates is None:
-        _, eigenstates = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+        _, eigenstates = intrinsic_information(sys, mechanism, purview, direction)
     if eigenstates is None:
         return 0.0
     return float(_score_partitions(sys, mechanism, purview, direction, eigenstates,
@@ -634,14 +632,13 @@ def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
 
 
 def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
-        direction: Direction, tie_tol: float = DEFAULT_TOL
-        ) -> tuple[DisintegratingPartition, float]:
+        direction: Direction) -> tuple[DisintegratingPartition, float]:
     """Minimum partition by severed-pair-normalized phi; unnormalized phi returned.
 
     Ties are broken by ``search.mip``.
     """
     purview = sys._check_qubits(purview, "purview")
-    return search.mip(sys, mechanism, mechanism.qubits, purview, direction, tie_tol,
+    return search.mip(sys, mechanism, mechanism.qubits, purview, direction,
                       intrinsic_information, _score_partitions)
 
 
@@ -681,25 +678,24 @@ def _max_norm_phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tupl
                               eigenstates, sys.tol)[0])
 
 
-def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction,
-            tie_tol: float = DEFAULT_TOL,
-            degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
+def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction
             ) -> Optional[QuantumDistinction]:
     """Maximally irreducible purview for a mechanism, or None if fully reducible.
 
     Purview and eigenvector ties are resolved by ``search.phi_max``.  The
     intrinsic state keeps every eigenvector whose phi at the minimum partition
     ties the maximum, reported as an eigensubspace when they share a
-    degenerate eigenvalue.
+    degenerate eigenvalue: eigenvalues within ``DEFAULT_DEGENERACY_TOL``,
+    whatever the system's tolerance.
     """
     qubits = _check_mechanism(sys, mechanism)
-    found = search.phi_max(sys, mechanism, qubits, sys.qubit_range(), direction, tie_tol,
+    found = search.phi_max(sys, mechanism, qubits, sys.qubit_range(), direction,
                            mip, intrinsic_information, phi, _max_norm_phi)
     if found is None:
         return None
     eigenvalues = tuple(p for p, _ in found.states)
     degenerate = len(eigenvalues) > 1 and (
-        max(eigenvalues) - min(eigenvalues) <= degeneracy_tol
+        max(eigenvalues) - min(eigenvalues) <= DEFAULT_DEGENERACY_TOL
     )
     intrinsic = IntrinsicState("subspace" if degenerate else "state", eigenvalues,
                                tuple(vec for _, vec in found.states))
@@ -711,8 +707,8 @@ def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Directio
 
 def unfold(sys: QuantumSystem, rho_t: DensityMatrix,
            directions: Sequence[Direction] = (EFFECT, CAUSE),
-           mechanisms: Optional[Sequence[Sequence[int]]] = None,
-           tie_tol: float = DEFAULT_TOL) -> list[QuantumDistinction]:
+           mechanisms: Optional[Sequence[Sequence[int]]] = None
+           ) -> list[QuantumDistinction]:
     """All distinctions of a system state: phi_max per mechanism subset.
 
     Effect mechanisms are reductions of ``rho_t``; cause mechanisms are
@@ -731,18 +727,19 @@ def unfold(sys: QuantumSystem, rho_t: DensityMatrix,
         return lambda qubits: sys.mechanism(qubits, base)
 
     return search.unfold(directions, subsets, mechanisms_in,
-                         lambda mech, direction: phi_max(sys, mech, direction, tie_tol))
+                         lambda mech, direction: phi_max(sys, mech, direction))
 
 
-def identity_structure(state: DensityMatrix, tol: float = DEFAULT_TOL,
-                       tie_tol: float = DEFAULT_TOL) -> list[QuantumDistinction]:
+def identity_structure(state: DensityMatrix, tol: float = DEFAULT_TOL
+                       ) -> list[QuantumDistinction]:
     """Self-constraint structure of a state under identity dynamics.
 
     With the unitary fixed to the identity, causes and effects coincide, so
     the effect-side distinctions are returned once each: what every subset of
-    the state irreducibly constrains about the state itself.
+    the state irreducibly constrains about the state itself.  Ties are taken
+    at ``tol``, the system's tolerance.
     """
     n = len(state.dims)
     sys = QuantumSystem(np.eye(2**n), tol=tol)
-    return unfold(sys, state, directions=(EFFECT,), tie_tol=tie_tol)
+    return unfold(sys, state, directions=(EFFECT,))
 

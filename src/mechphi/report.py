@@ -285,7 +285,6 @@ def run(request: AnalysisRequest) -> AnalysisReport:
             distinctions = classical.unfold(
                 request.system, state_t=request.state_t, state_t1=state_t1,
                 directions=directions, mechanisms=request.mechanisms,
-                tie_tol=request.tolerance,
             )
             dicts = [_classical_dict(d) for d in distinctions]
         else:
@@ -294,7 +293,6 @@ def run(request: AnalysisRequest) -> AnalysisReport:
             distinctions = quantum.unfold(
                 request.system, request.rho_t,
                 directions=directions, mechanisms=request.mechanisms,
-                tie_tol=request.tolerance,
             )
             dicts = [_quantum_dict(d) for d in distinctions]
     except (ValidationError, NumericError):

@@ -4,7 +4,7 @@ A backend supplies the substrate: ``intrinsic_information``, ``phi`` for one
 partition, ``score_partitions`` for every partition of a (mechanism, purview)
 pair and ``bound``, the phi of the max-norm partition.  It passes them in on
 each call, so a replaced module attribute (a tracer, a test double) is seen
-here.
+here.  Ties are values within the system's one tolerance, ``sys.tol``.
 
 The purview search visits purviews in descending order of that bound and
 stops once no purview left can change the selection.  The bound is exact:
@@ -51,7 +51,7 @@ def all_subsets(units: Sequence[int]) -> list[Units]:
 
 
 def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
-        tie_tol: float, intrinsic_information: Callable, score_partitions: Callable
+        intrinsic_information: Callable, score_partitions: Callable
         ) -> tuple[DisintegratingPartition, float]:
     """Minimum partition (argmin of phi / severed pairs) and its unnormalized phi.
 
@@ -64,7 +64,7 @@ def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
     labeled.  Without intrinsic states the first partition scores 0.
     """
     shape = partition_shape(len(m_units), len(purview))
-    _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+    _, states = intrinsic_information(sys, mechanism, purview, direction)
     if states is None:
         return shape.partition(0, m_units, purview), 0.0
     values = score_partitions(sys, mechanism, purview, direction, states, shape.slots,
@@ -79,52 +79,51 @@ def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
 
 
 def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
-            direction: Direction, tie_tol: float, mip: Callable,
-            intrinsic_information: Callable, phi: Callable, bound: Callable
-            ) -> Optional[Selection]:
+            direction: Direction, mip: Callable, intrinsic_information: Callable,
+            phi: Callable, bound: Callable) -> Optional[Selection]:
     """Maximally irreducible purview over subsets of ``candidates``, or None.
 
-    Purviews tying within ``tie_tol`` resolve toward the larger purview, then
+    Purviews tying within ``sys.tol`` resolve toward the larger purview, then
     the lower units; the others are recorded.  Intrinsic states tying at the
-    MIP are all kept.  None when no purview has phi above ``tie_tol``.
+    MIP are all kept.  None when no purview has phi above ``sys.tol``.
 
     ``bound(sys, mechanism, purview, direction, states)`` is the phi of
     {(-, Z), (M, -)} at the intrinsic ``states``, bit for bit the value
     ``score_partitions`` gives that row; a purview without intrinsic states
     has bound 0.  ``mip`` runs in descending bound order, ties in subset
     order.  It stops at the first bound below the best phi found minus
-    ``tie_tol``, where no purview left can win or tie, or not above
-    ``tie_tol`` while the best phi is not either, where none can lift phi
-    above ``tie_tol``.
+    ``sys.tol``, where no purview left can win or tie, or not above
+    ``sys.tol`` while the best phi is not either, where none can lift phi
+    above ``sys.tol``.
     """
     if not m_units:
         raise ValidationError("mechanism must be nonempty")
+    tol = sys.tol
     bounds = []
     for purview in all_subsets(candidates):
-        _, states = intrinsic_information(sys, mechanism, purview, direction, tie_tol)
+        _, states = intrinsic_information(sys, mechanism, purview, direction)
         bounds.append((0.0 if states is None else
                        bound(sys, mechanism, purview, direction, states), purview))
     bounds.sort(key=lambda pair: -pair[0])  # stable
     per_purview: dict = {}
     best_phi = -math.inf
     for top, purview in bounds:
-        if top < best_phi - tie_tol or max(top, best_phi) <= tie_tol:
+        if top < best_phi - tol or max(top, best_phi) <= tol:
             break
-        per_purview[purview] = mip(sys, mechanism, purview, direction, tie_tol)
+        per_purview[purview] = mip(sys, mechanism, purview, direction)
         best_phi = max(best_phi, per_purview[purview][1])
-    if not best_phi > tie_tol:
+    if not best_phi > tol:
         return None
-    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tie_tol]
+    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tol]
     tied.sort(key=lambda z: (-len(z), z))
     selected = tied[0]
     theta, value = per_purview[selected]
 
-    _, states = intrinsic_information(sys, mechanism, selected, direction, tie_tol)
+    _, states = intrinsic_information(sys, mechanism, selected, direction)
     if len(states) > 1:
-        scored = [(phi(sys, mechanism, selected, theta, direction, [s], tie_tol), s)
-                  for s in states]
+        scored = [(phi(sys, mechanism, selected, theta, direction, [s]), s) for s in states]
         top = max(v for v, _ in scored)
-        states = [s for v, s in scored if v >= top - tie_tol]
+        states = [s for v, s in scored if v >= top - tol]
     return Selection(
         purview=selected,
         states=list(states),

@@ -205,6 +205,22 @@ class TestPartitionedRepertoire:
             changed.append(not np.allclose(rep.probabilities, full))
         assert all(changed)
 
+    @pytest.mark.parametrize("direction", ["effect", "cause"])
+    @pytest.mark.parametrize("mechanism, message", [
+        (Mechanism((7,), (0,)), "mechanism units"), (Mechanism((0,), (5,)), "state 5"),
+    ])
+    def test_invalid_mechanism_is_rejected(self, copy_xor, mechanism, message, direction):
+        th = theta((mechanism.units, ()), ((), (0, 1)))
+        with pytest.raises(ValidationError, match=message):
+            partitioned_repertoire(copy_xor, mechanism, (0, 1), th, direction)
+
+    @pytest.mark.parametrize("direction", ["effect", "cause"])
+    def test_partition_of_another_pair_is_rejected(self, copy_xor, direction):
+        th = theta(((), (0, 1)), ((1,), ()))  # a partition of mechanism (1,)
+        for score in (phi, partitioned_repertoire):
+            with pytest.raises(ValidationError, match="not a disintegrating partition"):
+                score(copy_xor, A1, (0, 1), th, direction)
+
 
 class TestPhiAndMip:
     def test_full_cut_costs_two_ibits(self, copy_xor):

@@ -149,13 +149,13 @@ class LiteralClassical:
             return self.effect_repertoire(mechanism, purview)
         return self.cause_repertoire(mechanism, purview)
 
-    def intrinsic_information(self, mechanism, purview, direction, tie_tol=cl.DEFAULT_TOL):
+    def intrinsic_information(self, mechanism, purview, direction):
         rep = self.repertoire(mechanism, purview, direction)
         if rep is None:
             return 0.0, None
         baseline = (self.unconstrained_effect(purview, mechanism.units) if direction == "effect"
                     else self.unconstrained_cause(purview))
-        return cl.intrinsic_difference(rep, baseline, support_tol=self.sys.tol, tie_tol=tie_tol)
+        return cl.intrinsic_difference(rep, baseline, self.sys.tol)
 
     def part_repertoire(self, mechanism, m_part, z_part, direction):
         sub = mechanism.restrict(m_part)
@@ -213,11 +213,11 @@ def literal(sys):
     return _literal[sys]
 
 
-def oracle_mip(sys, mechanism, purview, direction, tie_tol=cl.DEFAULT_TOL):
+def oracle_mip(sys, mechanism, purview, direction):
     lit = literal(sys)
     purview = sys._check_units(purview, "purview")
     thetas = enumerate_disintegrating(mechanism.units, purview)
-    _, states = lit.intrinsic_information(mechanism, purview, direction, tie_tol)
+    _, states = lit.intrinsic_information(mechanism, purview, direction)
     if states is None:
         return thetas[0], 0.0
     best_key = None
@@ -515,12 +515,11 @@ class LiteralQuantum:
             self.memo[key] = build(mechanism, purview)
         return self.memo[key]
 
-    def intrinsic_information(self, mechanism, purview, direction, tie_tol=qm.DEFAULT_TOL):
+    def intrinsic_information(self, mechanism, purview, direction):
         rho = self.repertoire(mechanism, purview, direction)
         if rho is None:
             return 0.0, None
-        return qm.qid(rho, DensityMatrix.maximally_mixed(len(purview)), tol=self.sys.tol,
-                      tie_tol=tie_tol)
+        return qm.qid(rho, DensityMatrix.maximally_mixed(len(purview)), tol=self.sys.tol)
 
     def part_rho(self, mechanism, m_part, z_part, direction):
         if not m_part:
@@ -553,11 +552,11 @@ def oracle_phi_against(part, eigenstates, tol):
                         for p_i, vec in eigenstates)])
 
 
-def oracle_quantum_mip(sys, mechanism, purview, direction, parts, tie_tol=qm.DEFAULT_TOL):
+def oracle_quantum_mip(sys, mechanism, purview, direction, parts):
     """``parts`` holds every partition's oracle partitioned repertoire, in enumeration order."""
     purview = sys._check_qubits(purview, "purview")
     thetas = enumerate_disintegrating(mechanism.qubits, purview)
-    _, eigenstates = literal(sys).intrinsic_information(mechanism, purview, direction, tie_tol)
+    _, eigenstates = literal(sys).intrinsic_information(mechanism, purview, direction)
     if eigenstates is None:
         return thetas[0], 0.0
     best_key = None
@@ -670,6 +669,33 @@ def test_every_memoized_state_is_valid(unitary, rho):
         check_density_matrices(np.stack(matrices), system.tol)
 
 
+def assert_memoized_repertoires_are_distributions(system):
+    """Every ``ClassicalRepertoire`` in the memo is read-only and sums to 1, none below 0."""
+    reps = [v for v in system._memo.values() if isinstance(v, cl.ClassicalRepertoire)]
+    assert reps
+    for rep in reps:
+        probs = rep.probabilities
+        assert not probs.flags.writeable, rep.purview
+        assert abs(float(probs.sum()) - 1.0) <= 1e-9 and float(probs.min()) >= -1e-9, rep
+
+
+@pytest.mark.parametrize("name", [n for n in example_names()
+                                  if example_request(n)["backend"] == "classical"])
+def test_every_memoized_classical_repertoire_is_a_distribution_on_the_catalog(name):
+    request = parse_request(example_request(name))
+    cl.unfold(request.system, request.state_t, request.state_t1)
+    assert_memoized_repertoires_are_distributions(request.system)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(networks(), networks(min_units=3, max_units=3, background=1)))
+def test_every_memoized_classical_repertoire_is_a_distribution(net):
+    """The repertoires built unchecked in an unfold, with and without a background unit."""
+    system, state = net
+    cl.unfold(system, state, state)
+    assert_memoized_repertoires_are_distributions(system)
+
+
 def test_quantum_empty_part_repertoire_scores_infinite(monkeypatch):
     """A part whose cause repertoire is empty makes its partitions score +inf."""
     system = qm.QuantumSystem(CNOT)
@@ -723,30 +749,30 @@ def test_quantum_mip_checks_every_partitioned_repertoire(monkeypatch, part, mess
 # -- purview search ---------------------------------------------------------
 
 
-def oracle_phi_max(sys, mechanism, m_units, candidates, direction, tie_tol, mip,
+def oracle_phi_max(sys, mechanism, m_units, candidates, direction, mip,
                    intrinsic_information, phi):
     """``search.phi_max`` as first written: the MIP of every purview, then every state re-scored."""
     if not m_units:
         raise ValidationError("mechanism must be nonempty")
     per_purview = {
-        purview: mip(sys, mechanism, purview, direction, tie_tol)
+        purview: mip(sys, mechanism, purview, direction)
         for purview in all_subsets(candidates)
     }
     best_phi = max(v for _, v in per_purview.values())
-    if not best_phi > tie_tol:
+    if not best_phi > sys.tol:
         return None
-    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tie_tol]
+    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - sys.tol]
     tied.sort(key=lambda z: (-len(z), z))
     selected = tied[0]
     theta, value = per_purview[selected]
 
-    _, states = intrinsic_information(sys, mechanism, selected, direction, tie_tol)
-    scored = [(phi(sys, mechanism, selected, theta, direction, [s], tie_tol), s)
+    _, states = intrinsic_information(sys, mechanism, selected, direction)
+    scored = [(phi(sys, mechanism, selected, theta, direction, [s]), s)
               for s in states]
     top = max(v for v, _ in scored)
     return search.Selection(
         purview=selected,
-        states=[s for v, s in scored if v >= top - tie_tol],
+        states=[s for v, s in scored if v >= top - sys.tol],
         phi=max(value, 0.0),
         mip=theta,
         normalization=normalization(theta, m_units, selected),
@@ -787,11 +813,11 @@ def max_norm_row(m_units, purview) -> int:
     return enumerate_disintegrating(m_units, purview).index(theta)
 
 
-def assert_search_matches_oracle(system, state, tie_tol=cl.DEFAULT_TOL):
+def assert_search_matches_oracle(system, state):
     """Every selection equals the oracle's; every bound equals its row, and bounds phi_MIP."""
     for backend, mech, m_units, candidates, direction in mechanisms_of(system, state):
         where = (direction, m_units)
-        args = (system, mech, m_units, candidates, direction, tie_tol, backend.mip,
+        args = (system, mech, m_units, candidates, direction, backend.mip,
                 backend.intrinsic_information, backend.phi)
         got = search.phi_max(*args, backend._max_norm_phi)
         want = oracle_phi_max(*args)
@@ -800,7 +826,7 @@ def assert_search_matches_oracle(system, state, tie_tol=cl.DEFAULT_TOL):
             assert same_states(got.states, want.states), where
             assert got._replace(states=None) == want._replace(states=None), where
         for purview in all_subsets(candidates):
-            _, states = backend.intrinsic_information(system, mech, purview, direction, tie_tol)
+            _, states = backend.intrinsic_information(system, mech, purview, direction)
             if states is None:
                 continue
             shape = partition_shape(len(m_units), len(purview))
@@ -808,26 +834,24 @@ def assert_search_matches_oracle(system, state, tie_tol=cl.DEFAULT_TOL):
                                             shape.slots, shape.part_m, shape.part_z)
             bound = backend._max_norm_phi(system, mech, purview, direction, states)
             assert bound == row[max_norm_row(m_units, purview)], (where, purview)
-            assert backend.mip(system, mech, purview, direction, tie_tol)[1] <= bound
+            assert backend.mip(system, mech, purview, direction)[1] <= bound
 
 
-def catalog_cases():
-    for name in example_names():
-        request = parse_request(example_request(name))
-        if request.backend == "quantum":
-            yield pytest.param(request.system, request.rho_t, id=name)
-        else:
-            state_t1 = request.state_t1 or request.state_t
-            yield pytest.param(request.system, (request.state_t, state_t1), id=name)
+def catalog_case(name, tolerance):
+    """(system, state) of a catalog example parsed at ``tolerance``."""
+    request = parse_request(example_request(name), tolerance=tolerance)
+    if request.backend == "quantum":
+        return request.system, request.rho_t
+    return request.system, (request.state_t, request.state_t1 or request.state_t)
 
 
 @pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
                             "ignore:symmetrized cause repertoire not PSD")
-@pytest.mark.parametrize("tie_tol", [cl.DEFAULT_TOL, 0.25])
-@pytest.mark.parametrize("system, state", [*catalog_cases()])
-def test_search_matches_every_purview_oracle_on_the_catalog(system, state, tie_tol):
+@pytest.mark.parametrize("tolerance", [cl.DEFAULT_TOL, 0.25])
+@pytest.mark.parametrize("name", example_names())
+def test_search_matches_every_purview_oracle_on_the_catalog(name, tolerance):
     """Also at a tolerance wide enough for both stopping rules to act near it."""
-    assert_search_matches_oracle(system, state, tie_tol)
+    assert_search_matches_oracle(*catalog_case(name, tolerance))
 
 
 @settings(max_examples=30, deadline=None)
@@ -876,7 +900,7 @@ def test_search_skips_purviews_and_rescores_only_tied_states():
     for backend, mech, m_units, candidates, direction in mechanisms_of(system, request.rho_t):
         phi_calls = []
         found = search.phi_max(
-            system, mech, m_units, candidates, direction, qm.DEFAULT_TOL,
+            system, mech, m_units, candidates, direction,
             lambda *args: mip_calls.append(args) or qm.mip(*args),
             qm.intrinsic_information,
             lambda *args: phi_calls.append(args) or qm.phi(*args),
@@ -896,7 +920,7 @@ def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
     for _ in range(200):
         values = rng.choice([0.0, 0.5, 1.0, 2.0, math.inf], size=len(shape.slots))
         theta, value = search.mip(
-            copy_xor, mech, (0, 1), (0, 1), "effect", cl.DEFAULT_TOL,
+            copy_xor, mech, (0, 1), (0, 1), "effect",
             lambda *args: (1.0, (0,)), lambda *args: values.copy())
         best = int(np.lexsort((values, values / shape.norms))[0])
         assert theta == shape.partition(best, (0, 1), (0, 1)) and value == values[best]
@@ -905,5 +929,5 @@ def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
 def test_mip_rejects_nan_scores(copy_xor):
     mech = cl.Mechanism((0, 1), (1, 0))
     with pytest.raises(NumericError, match="NaN"):
-        search.mip(copy_xor, mech, (0, 1), (0,), "effect", cl.DEFAULT_TOL,
+        search.mip(copy_xor, mech, (0, 1), (0,), "effect",
                    lambda *args: (1.0, (0,)), lambda *args: np.array([0.5, math.nan, 1.0]))

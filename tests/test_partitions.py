@@ -15,7 +15,9 @@ from mechphi.partitions import (
     Units,
     enumerate_disintegrating,
     normalization,
+    part_masks,
     partition_shape,
+    relabel,
     set_partitions,
 )
 
@@ -256,6 +258,34 @@ class TestPartitionShape:
             partition_shape(0, 2)
         with pytest.raises(ValidationError):
             partition_shape(2, 0)
+
+
+class TestPartMasks:
+    @pytest.mark.parametrize("m_size, z_size", [(m, z) for m in range(1, 4) for z in range(1, 4)])
+    def test_enumerated_partitions_pass_and_fail_on_other_pairs(self, m_size, z_size):
+        mechanism, purview = tuple(range(m_size)), tuple(range(5, 5 + z_size))
+        others = [(mechanism + (9,), purview), (mechanism, purview + (9,))]
+        others += [(mechanism[1:], purview)] if m_size > 1 else []
+        others += [(mechanism, purview[1:])] if z_size > 1 else []
+        for theta in enumerate_disintegrating(mechanism, purview):
+            masks = part_masks(theta.parts, mechanism, purview)
+            assert relabel(*masks, mechanism, purview) == list(theta.parts)
+            for m_other, z_other in others:
+                with pytest.raises(ValidationError, match="not a disintegrating partition"):
+                    part_masks(theta.parts, m_other, z_other)
+
+    @pytest.mark.parametrize("parts", [
+        [((0,), (0,)), ((1,), ())],  # purview unit 1 in no part
+        [((0,), (0,)), ((1,), (0, 1))],  # purview unit 0 in two parts
+        [((0, 1), (0, 1))],  # one part
+        [((0, 1), (0,)), ((), (1,))],  # the whole mechanism keeps a purview
+        [((0, 1), ()), ((), (0, 1)), ((), ())],  # an empty part
+        [((0, 0, 1), ()), ((), (0, 1))],  # a unit named twice in one part
+        [((0, 1), ()), ((), (0, 1, 2))],  # a unit outside the purview
+    ])
+    def test_malformed_parts_are_rejected(self, parts):
+        with pytest.raises(ValidationError, match="not a disintegrating partition"):
+            part_masks(parts, (0, 1), (0, 1))
 
 
 def stirling2(n: int, p: int) -> int:

@@ -295,8 +295,9 @@ class TestPartitionedRepertoire:
         assert np.allclose(rep.data, np.eye(4) / 4)
 
     def test_cut_that_changes_nothing(self, cnot_system):
-        m = mech(cnot_system, (0, 1), CLASSICAL_MIX)
-        th = theta(((0, 1), (1,)), ((), (0,)))
+        # |0><0| (x) I/2: the control copies itself, the mixed target stays mixed
+        m = mech(cnot_system, (0, 1), DensityMatrix(np.diag([0.5, 0.5, 0, 0]).astype(complex)))
+        th = theta(((0,), (0,)), ((1,), (1,)))
         rep = partitioned_repertoire(cnot_system, m, (0, 1), th, "effect")
         unpart = effect_repertoire(cnot_system, m, (0, 1))
         assert np.allclose(rep.data, unpart.rho.data)
@@ -308,6 +309,21 @@ class TestPartitionedRepertoire:
         rep = partitioned_repertoire(cnot_system, m, (0, 1), th, "effect")
         alone = effect_repertoire(cnot_system, mech(cnot_system, (0,), pure(ket(1))), (0, 1))
         assert np.allclose(rep.data, alone.rho.data)
+
+    @pytest.mark.parametrize("direction", ["effect", "cause"])
+    def test_invalid_mechanism_is_rejected(self, cnot_system, direction):
+        m = mech(cnot_system, (5,), pure(ket(1)))
+        th = theta(((5,), ()), ((), (0, 1)))
+        with pytest.raises(ValidationError, match="out of range"):
+            partitioned_repertoire(cnot_system, m, (0, 1), th, direction)
+
+    @pytest.mark.parametrize("direction", ["effect", "cause"])
+    def test_partition_of_another_pair_is_rejected(self, cnot_system, direction):
+        m = mech(cnot_system, (0,), pure(ket(1)))
+        th = theta(((), (0, 1)), ((1,), ()))  # a partition of mechanism (1,)
+        for score in (phi, partitioned_repertoire):
+            with pytest.raises(ValidationError, match="not a disintegrating partition"):
+                score(cnot_system, m, (0, 1), th, direction)
 
 
 class TestPhiAndMip:

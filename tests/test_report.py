@@ -140,6 +140,57 @@ def mutated_requests(draw):
     return doc
 
 
+def _complex_pairs(values) -> list:
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+@st.composite
+def schema_kept_requests(draw):
+    """A golden request with its fields redrawn within their types and ranges.
+
+    The matrices stay.  ``tolerance``, ``direction``, ``mechanisms``, the
+    classical states and background, and the quantum state are drawn anew,
+    each valid on its own (or left out, where optional), so most documents
+    parse and reach ``run``.
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_REQUESTS)))
+    doc["tolerance"] = draw(st.floats(1e-12, 0.5))
+    doc["direction"] = draw(st.sampled_from(["cause", "effect", "both"]))
+    counts = doc.get("unit_states") or [2] * doc["qubits"]
+    n = len(counts)
+    doc["mechanisms"] = draw(st.one_of(st.just("all"), st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+        min_size=1, max_size=2)))
+    if doc["backend"] == "quantum":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        dim = 2**n
+        shape = (dim, draw(st.integers(1, dim)))
+        imag = draw(st.sampled_from([0, 1])) * rng.standard_normal(shape)
+        g = rng.standard_normal(shape) + 1j * imag
+        g[rng.random(shape) > draw(st.sampled_from([0.4, 0.8, 1.0]))] = 0  # sparse: ties
+        if not g.any():  # a zero state has no trace to divide by
+            g[0, 0] = 1
+        if draw(st.booleans()):
+            doc["state"] = {"kind": "pure", "amplitudes": _complex_pairs(g[:, 0])}
+        else:
+            rho = g @ g.conj().T
+            rho = (rho + rho.conj().T) / 2  # Hermitian entry for entry
+            doc["state"] = {"kind": "density",
+                            "matrix": [_complex_pairs(row) for row in rho / np.trace(rho).real]}
+        return doc
+    states = st.tuples(*[st.integers(0, c - 1) for c in counts]).map(list)
+    doc["state_t"] = draw(states)
+    doc["state_t1"] = draw(st.one_of(st.none(), states))
+    if draw(st.booleans()):
+        unit = draw(st.integers(0, n - 1))
+        value = draw(st.integers(0, counts[unit] - 1))
+        doc["background"] = {"units": [unit], "state": [value]}
+        for key in ("state_t", "state_t1"):
+            if doc[key] is not None:
+                doc[key][unit] = value
+    return doc
+
+
 class TestMalformedInput:
     def test_nan_tpm_entry_is_rejected(self, tmp_path, capsys):
         data = example_request("copy-xor-10")
@@ -254,6 +305,29 @@ class TestMalformedInput:
             assert isinstance(run(request), AnalysisReport)
         except (ValidationError, NumericError):
             pass
+
+    @pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                                "ignore:symmetrized cause repertoire not PSD")
+    def test_schema_kept_requests_end_in_a_report_or_an_error(self):
+        """At least half of them parse; ``run`` ends in a report or a package error."""
+        parsed = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(schema_kept_requests())
+        def check(doc):
+            try:
+                request = parse_request(doc)
+            except ValidationError:
+                parsed.append(False)
+                return
+            parsed.append(True)
+            try:
+                assert isinstance(run(request), AnalysisReport)
+            except (ValidationError, NumericError):
+                pass
+
+        check()
+        assert sum(parsed) >= len(parsed) / 2
 
 
 class TestGoldenReports:
