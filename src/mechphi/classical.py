@@ -102,10 +102,13 @@ class ClassicalSystem:
     units are clamped to a fixed state and excluded from the analysis.
 
     ``_memo`` keeps what analyses compute, keyed by mechanism state and unit
-    sets: per-unit marginals and likelihoods, repertoires and part tables.
-    It is bounded by the state space, never shrinks and lives as long as the
-    system.  Entries are written once and never changed, so concurrent
-    analyses of one system can only duplicate work.
+    sets: per-unit marginals and likelihoods, repertoires and the selection
+    of each (mechanism, direction).  A mechanism's part tables stay only
+    until its selection is stored.  The rest is bounded by the state space,
+    never shrinks and lives as long as the system.  Entries are written
+    once and never changed; a search whose part tables another thread drops
+    keeps reading its own, so concurrent analyses of one system can only
+    duplicate work.
     """
 
     def __init__(self, unit_state_counts: Sequence[int], tpm,
@@ -436,13 +439,14 @@ def _effect_table(sys: ClassicalSystem, mechanism: Mechanism) -> np.ndarray:
     Values past a unit's state count are padding and never read.
     """
     key = ("et", mechanism)
-    if key not in sys._memo:
+    table = sys._memo.get(key)  # read once: a finished search may drop the entry
+    if table is None:
         table = np.ones((1 << len(mechanism.units), sys.n_units, max(sys.unit_state_counts)))
         for mask, sub in enumerate(_sub_mechanisms(sys, mechanism)):
             for u in sys.candidate_units:
                 table[mask, u, :sys.unit_state_counts[u]] = _marginal(sys, sub, u)
         sys._memo[key] = table
-    return sys._memo[key]
+    return table
 
 
 def _cause_table(sys: ClassicalSystem, mechanism: Mechanism, z_part: tuple[int, ...]
@@ -450,15 +454,17 @@ def _cause_table(sys: ClassicalSystem, mechanism: Mechanism, z_part: tuple[int, 
     """[mask]: each sub-mechanism's ``cause_repertoire`` over ``z_part``, and which are empty.
 
     ``cause_repertoire`` is looked up at call time; mask 0 is the uniform
-    repertoire, and an empty repertoire's row holds ones.
+    repertoire, and an empty repertoire's row holds ones.  The mechanism's
+    tables share one memo entry, keyed by ``z_part``.
     """
-    key = ("ct", mechanism, z_part)
-    if key not in sys._memo:
+    tables = sys._memo.setdefault(("ct", mechanism), {})  # as in ``_effect_table``
+    table = tables.get(z_part)
+    if table is None:
         reps = [cause_repertoire(sys, sub, z_part) for sub in _sub_mechanisms(sys, mechanism)]
         ones = np.ones(math.prod(sys.unit_state_counts[u] for u in z_part))
-        sys._memo[key] = (np.array([ones if r is None else r.probabilities for r in reps]),
-                          np.array([r is None for r in reps]))
-    return sys._memo[key]
+        table = tables[z_part] = (np.array([ones if r is None else r.probabilities for r in reps]),
+                                  np.array([r is None for r in reps]))
+    return table
 
 
 def _factor_table(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
@@ -600,20 +606,29 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
     """Maximally irreducible purview for a mechanism, or None if fully reducible.
 
     Purview and intrinsic-state ties are resolved by ``search.phi_max``;
-    every tied intrinsic state is kept.
+    every tied intrinsic state is kept.  The result is memoized per
+    (mechanism, direction), and the mechanism is checked on a memo miss
+    only.  Storing it drops the mechanism's part tables, which only its
+    searches read.
     """
-    sys._check_units(mechanism.units, "mechanism")
-    sys._check_state(mechanism)
-    found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
-                           mip, intrinsic_information, phi, _max_norm_phi)
-    if found is None:
-        return None
-    z_states = sys.subset_states(found.purview)
-    return ClassicalDistinction(
-        mechanism.units, mechanism.state, direction, found.purview,
-        tuple(z_states[s] for s in found.states),
-        found.phi, found.mip, found.normalization, found.tied_purviews,
-    )
+    key = ("pm", mechanism, direction)
+    if key not in sys._memo:
+        sys._check_units(mechanism.units, "mechanism")
+        sys._check_state(mechanism)
+        found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
+                               mip, intrinsic_information, phi, _max_norm_phi)
+        distinction = None
+        if found is not None:
+            z_states = sys.subset_states(found.purview)
+            distinction = ClassicalDistinction(
+                mechanism.units, mechanism.state, direction, found.purview,
+                tuple(z_states[s] for s in found.states),
+                found.phi, found.mip, found.normalization, found.tied_purviews,
+            )
+        sys._memo[key] = distinction
+        sys._memo.pop(("et", mechanism), None)
+        sys._memo.pop(("ct", mechanism), None)
+    return sys._memo[key]
 
 
 def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,

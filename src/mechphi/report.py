@@ -312,14 +312,19 @@ def _derive_output_state(request: AnalysisRequest) -> tuple[int, ...]:
     if request.state_t is None:
         raise ValidationError("state_t1: required for cause analysis")
     idx = int(np.ravel_multi_index(request.state_t, sys.unit_state_counts))
-    row = sys.tpm[idx]
-    top = int(np.argmax(row))
-    if row[top] < 1.0 - sys.tol:
+    # The candidate units' joint next state: the background's next values summed out.
+    joint = sys.tpm[idx].reshape(sys.unit_state_counts).sum(
+        axis=sys.background_units, keepdims=True)
+    top = np.unravel_index(int(np.argmax(joint)), joint.shape)
+    if joint[top] < 1.0 - sys.tol:
         raise ValidationError(
             "state_t1: required for cause analysis (the transition from state_t "
             "is not deterministic)"
         )
-    return tuple(int(v) for v in sys._states[top])
+    state = [int(v) for v in top]
+    for u, v in zip(sys.background_units, sys.background_state):
+        state[u] = v
+    return tuple(state)
 
 
 # -- serialization ---------------------------------------------------------

@@ -8,12 +8,16 @@ matrix; derived values are computed with independent oracles inline.
 from __future__ import annotations
 
 import math
+import threading
+import time
 from collections import Counter
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 
 from conftest import COPY_XOR_TPM, CountingMemo, random_ci_tpm
+from mechphi import search
 from mechphi.classical import (
     ClassicalSystem,
     Mechanism,
@@ -318,6 +322,65 @@ class TestUnitFactors:
         assert kinds["cl"] == 4 * 15
         assert max(sys._memo.stores.values()) == 1
         assert all(key[2] == (1, 1, 0, 1)[key[1]] for key in sys._memo.stores if key[0] == "cl")
+
+
+class YieldingMemo(dict):
+    """A system memo that lets other threads run between a key test or store and the next step."""
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        time.sleep(0)
+        return found
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        time.sleep(0)
+
+
+class TestSelectionMemo:
+    def test_second_unfold_of_a_state_runs_no_mip_search(self, monkeypatch):
+        """Each (mechanism, direction) is searched once per system."""
+        sys = ClassicalSystem([2, 2, 3], random_ci_tpm(np.random.default_rng(5), [2, 2, 3]))
+        calls = []
+        search_mip = search.mip
+        monkeypatch.setattr(search, "mip", lambda *args: calls.append(args) or search_mip(*args))
+        first = unfold(sys, state_t=(1, 0, 2), state_t1=(0, 1, 1))
+        assert first and calls
+        calls.clear()
+        assert unfold(sys, state_t=(1, 0, 2), state_t1=(0, 1, 1)) == first
+        assert calls == []
+
+    def test_threads_sharing_a_system_select_what_one_thread_selects(self):
+        """Finished searches drop part tables that other threads' searches may be reading."""
+        counts = [2, 3, 2]
+        tpm = random_ci_tpm(np.random.default_rng(7), counts)
+        states = ClassicalSystem(counts, tpm).subset_states(range(3))
+        want = {s: unfold(ClassicalSystem(counts, tpm), s, s) for s in states}
+        shared = ClassicalSystem(counts, tpm)
+        shared._memo = YieldingMemo()
+        got, errors = {}, []
+
+        def sweep(order):
+            try:
+                for s in order:
+                    got[s, order[0]] = unfold(shared, s, s)
+            except Exception as exc:  # reported below, with the thread's order
+                errors.append((order[0], exc))
+
+        orders = [states[i:] + states[:i] for i in range(0, len(states), 3)]
+        threads = [threading.Thread(target=sweep, args=(order,)) for order in orders]
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert got == {(s, order[0]): want[s] for order in orders for s in order}
 
 
 class TestSystemValidation:

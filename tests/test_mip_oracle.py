@@ -20,11 +20,14 @@ for bit on every (mechanism, purview) pair of random and deterministic
 systems, with and without background units.  ``oracle_phi_max`` is the
 purview search as first written: the MIP of every purview.  The bounded
 search must select exactly as it does, and each backend's bound must equal,
-under ``==``, the score its MIP search gives the bounding partition.
+under ``==``, the score its MIP search gives the bounding partition.  A
+classical system unfolded at every state must select what a fresh system
+selects at each, although it keeps every selection.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 import weakref
@@ -50,7 +53,7 @@ from mechphi.partitions import (
     normalization,
     partition_shape,
 )
-from mechphi.report import parse_request
+from mechphi.report import parse_request, render, run
 from mechphi.search import all_subsets
 from mechphi.tensor import (
     DensityMatrix,
@@ -180,16 +183,24 @@ class LiteralClassical:
                 return None
             factors.append((z_part, dist))
 
-        z_states = sys.subset_states(purview)
-        result = np.ones(len(z_states))
-        pos = {u: i for i, u in enumerate(purview)}
+        result = np.ones(int(np.prod([sys.unit_state_counts[u] for u in purview])))
         for units, dist in factors:
+            result *= dist[self.part_index(purview, units)]
+        return result
+
+    def part_index(self, purview, units):
+        """Per purview state, the index of its restriction to ``units``; memoized."""
+        key = ("idx", purview, units)
+        if key not in self.memo:
+            sys = self.sys
+            z_states = sys.subset_states(purview)
+            pos = {u: i for i, u in enumerate(purview)}
             idx = np.zeros(len(z_states), dtype=int)
             for u in units:
                 stride = int(np.prod([sys.unit_state_counts[v] for v in units if v > u]))
                 idx += stride * np.array([z[pos[u]] for z in z_states])
-            result *= dist[idx]
-        return result
+            self.memo[key] = idx
+        return self.memo[key]
 
     def phi(self, mechanism, purview, theta, direction, states):
         rep = self.repertoire(mechanism, purview, direction)
@@ -694,6 +705,59 @@ def test_every_memoized_classical_repertoire_is_a_distribution(net):
     system, state = net
     cl.unfold(system, state, state)
     assert_memoized_repertoires_are_distributions(system)
+
+
+def full_states(system):
+    """Every state of the system that agrees with its background."""
+    clamped = dict(zip(system.background_units, system.background_state))
+    return [s for s in system.subset_states(range(system.n_units))
+            if all(s[u] == v for u, v in clamped.items())]
+
+
+def fresh_copy(system):
+    """A system on the same inputs, with an empty memo."""
+    background = (system.background_units, system.background_state)
+    return cl.ClassicalSystem(system.unit_state_counts, system.tpm,
+                              background if system.background_units else None, system.tol)
+
+
+def assert_sweep_matches_fresh_systems(system):
+    """``system`` unfolded at every state gives, under ``==``, what a fresh system gives.
+
+    Afterwards no part table is left in the memo, and every memoized
+    repertoire is still a distribution.
+    """
+    for state in full_states(system):
+        got = cl.unfold(system, state, state)
+        assert got == cl.unfold(fresh_copy(system), state, state), state
+    assert not [key for key in system._memo if key[0] in ("et", "ct")]
+    assert_memoized_repertoires_are_distributions(system)
+
+
+@pytest.mark.parametrize("name", [n for n in example_names()
+                                  if example_request(n)["backend"] == "classical"])
+def test_sweep_matches_fresh_systems_on_the_catalog(name):
+    """Also byte for byte in the JSON report, the example's own states last."""
+    shared = parse_request(example_request(name)).system
+    assert_sweep_matches_fresh_systems(shared)
+    docs = [{**example_request(name), "state_t": list(s), "state_t1": list(s)}
+            for s in full_states(shared)]
+    for doc in [*docs, example_request(name)]:
+        fresh = parse_request(doc)
+        got = render(run(dataclasses.replace(fresh, system=shared)), "json")
+        assert got == render(run(fresh), "json"), doc["state_t"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(networks())
+def test_sweep_matches_fresh_systems(net):
+    assert_sweep_matches_fresh_systems(net[0])
+
+
+@settings(max_examples=5, deadline=None)
+@given(networks(background=1))
+def test_sweep_matches_fresh_systems_with_a_background_unit(net):
+    assert_sweep_matches_fresh_systems(net[0])
 
 
 def test_quantum_empty_part_repertoire_scores_infinite(monkeypatch):

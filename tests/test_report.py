@@ -87,6 +87,54 @@ class TestParsing:
         causes = [d for d in report.distinctions if d["direction"] == "cause"]
         assert len(causes) == 3
 
+    def test_derived_output_state_keeps_the_background_clamped(self, tmp_path, capsys):
+        """The background's next values are summed out, and its units keep their state."""
+        data = {**example_request("copy-xor-10"), "background": {"units": [1], "state": [0]}}
+        explicit = run(parse_request({**data, "state_t1": [1, 0]}))
+        del data["state_t1"]
+        assert run(parse_request(data)).distinctions == explicit.distinctions
+        path = tmp_path / "bg.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["distinctions"] == explicit.distinctions
+
+    @pytest.mark.parametrize("background, derived", [(None, None), (1, (1, 0))])
+    def test_derived_output_state_ignores_a_random_background_unit(self, background, derived):
+        """Unit 0 copies itself and unit 1 is a coin: deterministic only with 1 clamped."""
+        data = {
+            "backend": "classical",
+            "unit_states": [2, 2],
+            "tpm": [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]],
+            "state_t": [1, 0],
+            "direction": "both",
+        }
+        if background is None:
+            with pytest.raises(ValidationError, match="state_t1: required"):
+                run(parse_request(data))
+            return
+        data["background"] = {"units": [background], "state": [0]}
+        report = run(parse_request(data))
+        explicit = run(parse_request({**data, "state_t1": list(derived)}))
+        assert report.distinctions == explicit.distinctions
+        assert any(d["direction"] == "cause" for d in report.distinctions)
+
+    def test_nondeterministic_candidate_still_needs_output_state(self, tmp_path, capsys):
+        """Unit 1 copies itself and unit 0 is a coin: clamping unit 1 leaves a coin."""
+        data = {
+            "backend": "classical",
+            "unit_states": [2, 2],
+            "tpm": [[0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5]] * 2,
+            "state_t": [1, 0],
+            "background": {"units": [1], "state": [0]},
+            "direction": "both",
+        }
+        with pytest.raises(ValidationError, match="state_t1: required"):
+            run(parse_request(data))
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", str(path)]) == 2
+        assert "state_t1: required" in capsys.readouterr().err
+
     def test_missing_output_state_for_stochastic_tpm(self):
         data = {
             "backend": "classical",
