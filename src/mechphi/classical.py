@@ -7,9 +7,9 @@ over candidate purviews, scores them against chance with the intrinsic
 difference measure, quantifies irreducibility against the minimum
 disintegrating partition, and finally maximizes over purviews.  Running that
 for every mechanism subset of a state unfolds the distinction structure.
-Every repertoire is built from per-unit factors memoized per system: an
-effect repertoire is the outer product of per-unit marginals, a cause
-repertoire the normalized product of per-unit likelihoods.
+Every repertoire is built from tables memoized per system: one of per-unit
+marginals per mechanism-unit set for effects, per-unit likelihoods for
+causes.  MIP scoring reads part tables built once per mechanism.
 
 Probabilities over a unit subset are indexed big-endian in ascending unit
 order (lowest unit index = most significant digit).  All scores are in ibits
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -34,6 +34,7 @@ from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
     enumerate_disintegrating,
     part_masks,
+    partition_shape,
 )
 from .search import CAUSE, EFFECT, Direction
 from .tensor import DEFAULT_TOL
@@ -102,13 +103,13 @@ class ClassicalSystem:
     units are clamped to a fixed state and excluded from the analysis.
 
     ``_memo`` keeps what analyses compute, keyed by mechanism state and unit
-    sets: per-unit marginals and likelihoods, repertoires and the selection
-    of each (mechanism, direction).  A mechanism's part tables stay only
-    until its selection is stored.  The rest is bounded by the state space,
-    never shrinks and lives as long as the system.  Entries are written
-    once and never changed; a search whose part tables another thread drops
-    keeps reading its own, so concurrent analyses of one system can only
-    duplicate work.
+    sets: a marginal table per unit set, per-unit likelihoods, repertoires
+    and the selection of each (mechanism, direction).  A mechanism's part
+    tables stay only until its selection is stored.  The rest is bounded by
+    the state space, never shrinks and lives as long as the system.  Entries
+    are written once and never changed; a search whose part tables another
+    thread drops keeps reading its own, so concurrent analyses of one system
+    can only duplicate work.
     """
 
     def __init__(self, unit_state_counts: Sequence[int], tpm,
@@ -227,16 +228,38 @@ class ClassicalSystem:
 # -- repertoires ----------------------------------------------------------
 
 
-def _marginal(sys: ClassicalSystem, mechanism: Mechanism, unit: int) -> np.ndarray:
-    """``unit``'s next-state distribution given the mechanism state, memoized.
+def _units_first(sys: ClassicalSystem, array: np.ndarray, units: tuple[int, ...]) -> np.ndarray:
+    """A conditional tensor, background pinned, axes: ``units``, other source units, values."""
+    free = [u for u in range(sys.n_units) if u not in sys.background_units]
+    return np.moveaxis(array[sys._pin((), ())], [free.index(u) for u in units], range(len(units)))
 
-    The other source units, bar the background, are averaged out.
+
+def _marginals(sys: ClassicalSystem, units: tuple[int, ...]) -> np.ndarray:
+    """[*state, unit, value]: each unit's next-state distribution per ``units`` state, memoized.
+
+    The other source units, bar the background, are averaged out, along a
+    strided axis: each state's rows are summed one after another, as a 2-D
+    ``mean(0)`` over that state alone would sum them.  Background rows and
+    values past a unit's state count are padding.
     """
-    key = ("em", mechanism, unit)
+    key = ("em", units)
     if key not in sys._memo:
-        index = sys._pin(mechanism.units, mechanism.state)
-        sys._memo[key] = sys._cond[unit][index].reshape(-1, sys.unit_state_counts[unit]).mean(0)
+        shape = tuple(sys.unit_state_counts[u] for u in units)
+        table = np.ones(shape + (sys.n_units, max(sys.unit_state_counts)))
+        for u in sys.candidate_units:
+            c = sys.unit_state_counts[u]
+            rows = _units_first(sys, sys._cond[u], units).reshape(shape + (-1, c))
+            table[..., u, :c] = rows.mean(-2)
+        sys._memo[key] = table
     return sys._memo[key]
+
+
+def _outer(sys: ClassicalSystem, rows: np.ndarray, purview: tuple[int, ...]) -> np.ndarray:
+    """Per [unit, value] row: the purview units' outer product, raveled, as ``np.kron`` has it."""
+    q = np.ones((len(rows), 1))
+    for u in purview:
+        q = (q[:, :, None] * rows[:, u, None, :sys.unit_state_counts[u]]).reshape(len(rows), -1)
+    return q
 
 
 def _likelihood(sys: ClassicalSystem, unit: int, value: int,
@@ -248,17 +271,12 @@ def _likelihood(sys: ClassicalSystem, unit: int, value: int,
     """
     key = ("cl", unit, value, purview)
     if key not in sys._memo:
-        # One 1-D mean per purview state: a 2-D mean can round differently.
-        factor = np.array([sys._cond[unit][sys._pin(purview, z) + (value,)].ravel().mean()
-                           for z in sys.subset_states(purview)])
+        # Contiguous rows, one per purview state: each reduces as its 1-D mean.
+        rows = np.ascontiguousarray(_units_first(sys, sys._cond[unit][..., value], purview))
+        factor = rows.reshape(math.prod(sys.unit_state_counts[u] for u in purview), -1).mean(1)
         total = float(factor.sum())
         sys._memo[key] = factor / total if total > 0.0 else None
     return sys._memo[key]
-
-
-def _outer(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...]) -> np.ndarray:
-    # The outer product, raveled, is np.kron of the factors bit for bit.
-    return reduce(np.multiply.outer, [_marginal(sys, mechanism, u) for u in purview]).ravel()
 
 
 def _checked(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...]) -> tuple:
@@ -266,20 +284,15 @@ def _checked(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...
     canon = sys._check_units(purview, "purview")
     if not canon:
         raise ValidationError("purview must be nonempty")
-    sys._check_units(mechanism.units, "mechanism")
+    if len(sys._check_units(mechanism.units, "mechanism")) != len(mechanism.units):
+        raise ValidationError("mechanism units must be distinct")
     sys._check_state(mechanism)
     return canon
 
 
-def effect_repertoire_single(sys: ClassicalSystem, mechanism: Mechanism,
-                             unit: int) -> ClassicalRepertoire:
-    """Distribution the mechanism fixes over one unit's next state."""
-    return effect_repertoire(sys, mechanism, (unit,))
-
-
 def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
                       purview: Iterable[int]) -> ClassicalRepertoire:
-    """Product of single-unit effect repertoires (``_marginal``) over the purview.
+    """Product of single-unit effect repertoires (``_marginals``) over the purview.
 
     The product form gives each purview unit an independent marginalized
     input, which discounts correlations produced by shared inputs from
@@ -289,7 +302,8 @@ def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     key = ("er", mechanism, purview := tuple(purview))
     if key not in sys._memo:
         purview = _checked(sys, mechanism, purview)
-        sys._memo[key] = ClassicalRepertoire(purview, _outer(sys, mechanism, purview))
+        rows = _marginals(sys, mechanism.units)[mechanism.state][np.newaxis]
+        sys._memo[key] = ClassicalRepertoire(purview, _outer(sys, rows, purview)[0])
     return sys._memo[key]
 
 
@@ -299,12 +313,10 @@ def unconstrained_effect(sys: ClassicalSystem, purview: Iterable[int],
     key = ("ue", units := tuple(mechanism_units), purview := tuple(purview))
     if key not in sys._memo:
         purview = sys._check_units(purview, "purview")
-        units = sys._check_units(units, "mechanism")
-        states = sys.subset_states(units)
-        acc = np.zeros(math.prod(sys.unit_state_counts[u] for u in purview))
-        for st in states:
-            acc += _outer(sys, Mechanism(units, st), purview)
-        sys._memo[key] = ClassicalRepertoire(purview, acc / len(states))
+        table = _marginals(sys, sys._check_units(units, "mechanism"))
+        rows = _outer(sys, table.reshape(-1, *table.shape[-2:]), purview)
+        # Rows >= 2 wide: numpy sums them in order, from 0, as ``acc +=`` would.
+        sys._memo[key] = ClassicalRepertoire(purview, rows.sum(0) / len(rows))
     return sys._memo[key]
 
 
@@ -349,13 +361,6 @@ def _repertoire(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, 
     return cause_repertoire(sys, mechanism, purview)
 
 
-def _unconstrained(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                   direction: Direction) -> ClassicalRepertoire:
-    if direction == EFFECT:
-        return unconstrained_effect(sys, purview, mechanism.units)
-    return unconstrained_cause(sys, purview)
-
-
 # -- information measures -------------------------------------------------
 
 
@@ -366,6 +371,15 @@ def _pointwise(p: float, q: float, tol: float) -> float:
     return math.inf if q <= tol else p * math.log2(p / q)
 
 
+def _pointwise_all(p, q, tol: float) -> list[float]:
+    """``_pointwise`` per state, over Python floats: numpy costs more at 2-16 states."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValidationError(f"distribution shapes differ: {p.shape} vs {q.shape}")
+    return [_pointwise(ps, qs, tol) for ps, qs in zip(p.tolist(), q.tolist())]
+
+
 def intrinsic_difference(p, q, tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:
     """max_s p_s * log2(p_s / q_s), with the maximizing state(s).
 
@@ -374,26 +388,16 @@ def intrinsic_difference(p, q, tol: float = DEFAULT_TOL) -> tuple[float, tuple[i
     within ``tol`` of the maximum are all returned, the winning value first
     among equals.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    vals = np.array([_pointwise(ps, qs, tol) for ps, qs in zip(p, q)])
-    value = float(np.max(vals)) if len(vals) else 0.0
+    vals = _pointwise_all(p, q, tol)
+    value = max(vals, default=0.0) if not math.isnan(sum(vals)) else math.nan
     if math.isinf(value):
-        states = tuple(int(s) for s in np.nonzero(np.isinf(vals))[0])
-    else:
-        states = tuple(int(s) for s in np.nonzero(vals >= value - tol)[0])
-    return value, states
+        return value, tuple(s for s, v in enumerate(vals) if math.isinf(v))
+    return value, tuple(s for s, v in enumerate(vals) if v >= value - tol)
 
 
 def kld(p, q, tol: float = DEFAULT_TOL) -> float:
     """Kullback-Leibler divergence in bits: sum_s p_s log2(p_s / q_s)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    return sum((_pointwise(ps, qs, tol) for ps, qs in zip(p, q)), 0.0)
+    return sum(_pointwise_all(p, q, tol), 0.0)
 
 
 def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
@@ -414,7 +418,8 @@ def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
         if rep is None:
             sys._memo[key] = (0.0, None)
         else:
-            baseline = _unconstrained(sys, mechanism, rep.purview, direction)
+            baseline = (unconstrained_effect(sys, rep.purview, mechanism.units)
+                        if direction == EFFECT else unconstrained_cause(sys, rep.purview))
             sys._memo[key] = intrinsic_difference(rep.probabilities, baseline.probabilities,
                                                   sys.tol)
     return sys._memo[key]
@@ -434,18 +439,12 @@ def _sub_mechanisms(sys: ClassicalSystem, mechanism: Mechanism) -> list[Mechanis
 
 
 def _effect_table(sys: ClassicalSystem, mechanism: Mechanism) -> np.ndarray:
-    """[mask, unit, value]: ``_marginal`` per sub-mechanism and candidate unit.
-
-    Values past a unit's state count are padding and never read.
-    """
+    """[mask, unit, value]: each sub-mechanism's ``_marginals``, padded alike."""
     key = ("et", mechanism)
     table = sys._memo.get(key)  # read once: a finished search may drop the entry
     if table is None:
-        table = np.ones((1 << len(mechanism.units), sys.n_units, max(sys.unit_state_counts)))
-        for mask, sub in enumerate(_sub_mechanisms(sys, mechanism)):
-            for u in sys.candidate_units:
-                table[mask, u, :sys.unit_state_counts[u]] = _marginal(sys, sub, u)
-        sys._memo[key] = table
+        table = sys._memo[key] = np.array([_marginals(sys, sub.units)[sub.state]
+                                           for sub in _sub_mechanisms(sys, mechanism)])
     return table
 
 
@@ -467,37 +466,51 @@ def _cause_table(sys: ClassicalSystem, mechanism: Mechanism, z_part: tuple[int, 
     return table
 
 
+def _parts(part_m: np.ndarray, part_z: np.ndarray) -> tuple:
+    """Each part's mechanism bitmask, ``part_z``, and (positions, parts, bitmasks) per z part."""
+    masks = part_m @ (1 << np.arange(part_m.shape[1]))
+    z_masks = part_z @ (1 << np.arange(part_z.shape[1]))
+    groups = [(tuple(i for i in range(part_z.shape[1]) if z >> i & 1), rows, masks[rows])
+              for z in sorted(set(z_masks.tolist()) - {0})
+              for rows in [np.flatnonzero(z_masks == z)]]
+    return masks, part_z, groups
+
+
+@lru_cache(maxsize=None)
+def _shape_parts(m_size: int, z_size: int) -> tuple:
+    """``_parts`` of ``partition_shape(m_size, z_size)``, built once per shape."""
+    return _parts(*partition_shape(m_size, z_size)[:2])
+
+
 def _factor_table(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                  direction: Direction, part_m: np.ndarray, part_z: np.ndarray,
-                  states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  direction: Direction, parts: tuple, states: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Each part's repertoire read at the purview ``states``, one row per part.
 
-    Parts are position masks over the mechanism units and the purview, as in
-    ``PartitionShape``; a mechanism part indexes the tables by its bitmask.
-    Parts without a purview and the padding row ``len(part_m)`` hold 1.0; a
-    part with an empty mechanism gets the fully marginalized repertoire.
-    Also returns which rows belong to a part whose cause repertoire is empty.
+    ``parts`` are the ``_parts`` of position masks over the mechanism units
+    and the purview, as in ``PartitionShape``; a mechanism part indexes the
+    tables by its bitmask.  Parts without a purview and the padding row hold
+    1.0; a part with an empty mechanism gets the fully marginalized
+    repertoire.  Also returns which rows have an empty cause repertoire.
     """
+    masks, part_z, groups = parts
     counts = [sys.unit_state_counts[u] for u in purview]
     digits = np.unravel_index(states, counts)
-    masks = part_m @ (1 << np.arange(part_m.shape[1]))
-    factors = np.ones((len(part_m) + 1, len(states)))
-    missing = np.zeros(len(part_m) + 1, dtype=bool)
+    factors = np.ones((len(masks) + 1, len(states)))
+    missing = np.zeros(len(masks) + 1, dtype=bool)
     if direction == EFFECT:
-        table = _effect_table(sys, mechanism)
-        # Left to right over the purview, as the outer product multiplies;
-        # a unit outside the part contributes 1.0, which is exact.
-        for i, u in enumerate(purview):
-            factors[:-1] *= np.where(part_z[:, [i]], table[masks[:, None], u, digits[i]], 1.0)
+        # One gather, 1.0 outside each part, multiplied left to right as ``_outer``.
+        gathered = np.where(part_z[:, :, None], _effect_table(sys, mechanism)[
+            masks[:, None, None], np.array(purview)[:, None], digits], 1.0)
+        factors[:-1] = gathered[:, 0]
+        for i in range(1, len(purview)):
+            factors[:-1] *= gathered[:, i]
         return factors, missing
-    z_masks = part_z @ (1 << np.arange(len(purview)))
-    for z_mask in sorted(set(z_masks.tolist()) - {0}):  # one pass per purview part
-        on = [i for i in range(len(purview)) if z_mask >> i & 1]
-        rows = np.flatnonzero(z_masks == z_mask)
+    for on, rows, row_masks in groups:
         reps, empty = _cause_table(sys, mechanism, tuple(purview[i] for i in on))
         index = np.ravel_multi_index([digits[i] for i in on], [counts[i] for i in on])
-        factors[rows] = reps[masks[rows, None], index]
-        missing[rows] = empty[masks[rows]]
+        factors[rows] = reps[row_masks[:, None], index]
+        missing[rows] = empty[row_masks]
     return factors, missing
 
 
@@ -519,9 +532,8 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     """
     purview = _checked(sys, mechanism, tuple(purview))
     n = math.prod(sys.unit_state_counts[u] for u in purview)
-    factors, missing = _factor_table(sys, mechanism, purview, direction,
-                                     *part_masks(theta.parts, sorted(mechanism.units), purview),
-                                     np.arange(n))
+    parts = _parts(*part_masks(theta.parts, sorted(mechanism.units), purview))
+    factors, missing = _factor_table(sys, mechanism, purview, direction, parts, np.arange(n))
     if missing.any():
         return None
     return ClassicalRepertoire(purview, _products(factors, np.arange(theta.k)[np.newaxis])[0])
@@ -536,14 +548,18 @@ def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     when the partitioned repertoire has no support on an intrinsic state, and
     0 when the mechanism specifies nothing (empty cause repertoire).
     """
-    purview = sys._check_units(purview, "purview")
+    return _phi(sys, mechanism, sys._check_units(purview, "purview"), theta, direction, states)
+
+
+def _phi(sys, mechanism, purview, theta, direction, states=None) -> float:
     if _repertoire(sys, mechanism, purview, direction) is None:
         return 0.0
     if states is None:
         _, states = intrinsic_information(sys, mechanism, purview, direction)
+    part_m, part_z = part_masks(theta.parts, sorted(mechanism.units), purview)
     return float(_score_partitions(sys, mechanism, purview, direction, states,
-                                   np.arange(theta.k)[np.newaxis],
-                                   *part_masks(theta.parts, sorted(mechanism.units), purview))[0])
+                                   np.arange(theta.k)[np.newaxis], part_m, part_z,
+                                   _parts(part_m, part_z))[0])
 
 
 def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -553,26 +569,33 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     The returned value is the unnormalized phi at the minimizing partition;
     ties are broken by ``search.mip``.
     """
-    purview = sys._check_units(purview, "purview")
+    return _mip(sys, mechanism, sys._check_units(purview, "purview"), direction)
+
+
+def _mip(sys, mechanism, purview, direction) -> tuple[DisintegratingPartition, float]:
     return search.mip(sys, mechanism, tuple(sorted(mechanism.units)), purview, direction,
                       intrinsic_information, _score_partitions)
 
 
 def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
                       direction: Direction, states: Sequence[int], slots: np.ndarray,
-                      part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
+                      part_m: np.ndarray, part_z: np.ndarray, parts: Optional[tuple] = None
+                      ) -> np.ndarray:
     """``phi`` of every partition ``slots`` lists, in one pass.
 
-    The partitioned repertoire q of each row is read only at the intrinsic
-    states in the support of p, from the factor table ``partitioned_repertoire``
-    also uses, so the two agree bit for bit.  Each value is ``_score``'s;
-    +inf where a part's cause repertoire is empty.
+    ``parts`` defaults to the ``_parts`` of the pair's shape, whose masks
+    ``search.mip`` passes.  Each row's partitioned repertoire is read only at
+    the intrinsic states in p's support, from the factor table
+    ``partitioned_repertoire`` also uses, so the two agree bit for bit.
+    Each value is ``_score``'s; +inf where a part's cause repertoire is empty.
     """
+    parts = parts or _shape_parts(part_m.shape[1], part_z.shape[1])
     p = _repertoire(sys, mechanism, purview, direction).probabilities
     live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
-    factors, missing = _factor_table(sys, mechanism, purview, direction, part_m, part_z, live)
+    factors, missing = _factor_table(sys, mechanism, purview, direction, parts, live)
     values = _score(p[live], _products(factors, slots), sys.tol)
-    values[missing[slots].any(axis=1)] = math.inf
+    if missing.any():
+        values[missing[slots].any(axis=1)] = math.inf
     return values
 
 
@@ -592,13 +615,18 @@ def _max_norm_phi(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int
     """``phi`` of {(-, Z), (M, -)} at the intrinsic ``states``: the bound ``search.phi_max`` reads.
 
     That partition's repertoire is the empty mechanism's over the purview,
-    equal entry for entry to its row of the factor table, so this scores
-    the row without building the table.
+    equal entry for entry to its row of the factor table.  This scores that
+    row by ``_score``'s floor, support rule and operations, over Python
+    floats.  For a cause the row is the uniform baseline that
+    ``intrinsic_information`` scored to v.  The states tie with v's
+    maximizer, in the support if v > 0, so the row scores v; else no state
+    scores above v <= 0, and the row scores 0.
     """
-    p = _repertoire(sys, mechanism, purview, direction).probabilities
-    q = _repertoire(sys, Mechanism((), ()), purview, direction).probabilities
-    live = [s for s in states if p[s] > sys.tol]
-    return float(_score(p[live], q[live][np.newaxis], sys.tol)[0])
+    if direction == CAUSE:
+        return max(0.0, intrinsic_information(sys, mechanism, purview, direction)[0])
+    p = _repertoire(sys, mechanism, purview, direction).probabilities.tolist()
+    q = _repertoire(sys, Mechanism((), ()), purview, direction).probabilities.tolist()
+    return max([0.0, *(_pointwise(p[s], q[s], sys.tol) for s in states)])
 
 
 def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
@@ -615,8 +643,10 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
     if key not in sys._memo:
         sys._check_units(mechanism.units, "mechanism")
         sys._check_state(mechanism)
+        # The search passes only sorted subsets of the checked candidate
+        # units, so ``_mip`` and ``_phi`` take them unchecked.
         found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
-                               mip, intrinsic_information, phi, _max_norm_phi)
+                               _mip, intrinsic_information, _phi, _max_norm_phi)
         distinction = None
         if found is not None:
             z_states = sys.subset_states(found.purview)

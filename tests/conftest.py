@@ -87,7 +87,7 @@ def random_permutation_tpm(rng: np.random.Generator, num_states: int) -> np.ndar
 
 
 class CountingMemo(dict):
-    """A system memo that counts how often each key is stored."""
+    """A system memo that counts how often each key is stored, by assignment or ``setdefault``."""
 
     def __init__(self):
         super().__init__()
@@ -96,3 +96,8 @@ class CountingMemo(dict):
     def __setitem__(self, key, value):
         self.stores[key] += 1
         super().__setitem__(key, value)
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = default
+        return self[key]

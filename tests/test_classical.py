@@ -23,7 +23,6 @@ from mechphi.classical import (
     Mechanism,
     cause_repertoire,
     effect_repertoire,
-    effect_repertoire_single,
     intrinsic_difference,
     intrinsic_information,
     kld,
@@ -52,16 +51,16 @@ def theta(*parts) -> DisintegratingPartition:
 
 class TestEffectRepertoires:
     def test_copy_output_is_certain(self, copy_xor):
-        rep = effect_repertoire_single(copy_xor, A1, 0)
+        rep = effect_repertoire(copy_xor, A1, (0,))
         assert np.allclose(rep.probabilities, [0, 1])
 
     def test_xor_with_noised_partner_is_uniform(self, copy_xor):
-        rep = effect_repertoire_single(copy_xor, B0, 1)
+        rep = effect_repertoire(copy_xor, B0, (1,))
         assert np.allclose(rep.probabilities, [0.5, 0.5])
 
     def test_full_mechanism_is_tpm_row_marginal(self, copy_xor):
         # nothing to marginalize: the repertoire is the row's unit marginal
-        rep = effect_repertoire_single(copy_xor, AB10, 1)
+        rep = effect_repertoire(copy_xor, AB10, (1,))
         row = COPY_XOR_TPM[2]  # state (1, 0)
         expected = [row[0] + row[2], row[1] + row[3]]
         assert np.allclose(rep.probabilities, expected)
@@ -75,9 +74,10 @@ class TestEffectRepertoires:
         assert np.allclose(rep.probabilities, [0, 0, 0, 1])
 
     def test_single_unit_purview_matches_single(self, copy_xor):
-        joint = effect_repertoire(copy_xor, A1, (0,))
-        single = effect_repertoire_single(copy_xor, A1, 0)
-        assert np.allclose(joint.probabilities, single.probabilities)
+        # the product over a two-unit purview, summed over unit 1, is unit 0's own
+        joint = effect_repertoire(copy_xor, A1, (0, 1)).probabilities.reshape(2, 2)
+        single = effect_repertoire(copy_xor, A1, (0,))
+        assert np.allclose(joint.sum(axis=1), single.probabilities)
 
 
 class TestUnconstrainedEffect:
@@ -252,6 +252,27 @@ class TestPhiAndMip:
             value = phi(copy_xor, AB10, (0, 1), th, "effect", states)
             assert best_norm <= value / normalization(th, (0, 1), (0, 1)) + 1e-12
 
+    def test_unsorted_purview_is_sorted_and_a_bad_one_rejected(self):
+        """Library calls canonicalize the purview; ``phi_max`` skips the check, they do not."""
+        sys = ClassicalSystem([2, 2, 2], random_ci_tpm(np.random.default_rng(3), [2] * 3),
+                              background=([2], [1]))
+        mech = Mechanism((0, 1), (1, 0))
+        for direction in ("effect", "cause"):
+            got = mip(sys, mech, (1, 0), direction)
+            assert got == mip(sys, mech, (0, 1), direction)
+            assert (phi(sys, mech, [1, 0, 1], got[0], direction)
+                    == phi(sys, mech, (0, 1), got[0], direction) == got[1])
+            for purview in [(0, 5), (-1,), (2,), (1, 2)]:
+                with pytest.raises(ValidationError, match="purview units"):
+                    mip(sys, mech, purview, direction)
+                with pytest.raises(ValidationError, match="purview units"):
+                    phi(sys, mech, purview, got[0], direction)
+
+    def test_repeated_mechanism_unit_is_rejected(self, copy_xor):
+        for direction in ("effect", "cause"):
+            with pytest.raises(ValidationError, match="mechanism units must be distinct"):
+                intrinsic_information(copy_xor, Mechanism((0, 0), (1, 1)), (0,), direction)
+
 
 class TestPhiMax:
     def test_copy_mechanism_selects_its_output(self, copy_xor):
@@ -308,20 +329,28 @@ class TestUnfold:
 
 class TestUnitFactors:
     def test_each_marginal_and_likelihood_is_computed_once(self):
-        """One 4-unit unfold computes each per-unit factor once, and every one it needs.
+        """One 4-unit unfold computes each per-unit factor table once, and every one it needs.
 
-        The marginals cover every unit under every state of every unit subset
-        (81 assignments x 4 units); the likelihoods cover every unit at its
-        ``state_t1`` value against every purview (4 x 15).
+        The marginals are one table per unit subset, the empty one included
+        (16); the likelihoods cover every unit at its ``state_t1`` value
+        against every purview (4 x 15).  Each searched cause mechanism's
+        part tables are one ``ct`` entry, stored once although its finished
+        search drops it.
         """
         sys = ClassicalSystem([2, 2, 2, 2], random_ci_tpm(np.random.default_rng(11), [2] * 4))
         sys._memo = CountingMemo()
-        unfold(sys, state_t=(0, 1, 1, 0), state_t1=(1, 1, 0, 1))
+        state_t1 = (1, 1, 0, 1)
+        unfold(sys, state_t=(0, 1, 1, 0), state_t1=state_t1)
         kinds = Counter(key[0] for key in sys._memo.stores)
-        assert kinds["em"] == 81 * 4
+        assert {key[1] for key in sys._memo.stores if key[0] == "em"} == {
+            (), *search.all_subsets(range(4))}
+        assert kinds["em"] == 16
         assert kinds["cl"] == 4 * 15
+        assert kinds["ct"] > 0
         assert max(sys._memo.stores.values()) == 1
-        assert all(key[2] == (1, 1, 0, 1)[key[1]] for key in sys._memo.stores if key[0] == "cl")
+        assert all(key[2] == state_t1[key[1]] for key in sys._memo.stores if key[0] == "cl")
+        assert all(key[1].state == sys.state_of(state_t1, key[1].units)
+                   for key in sys._memo.stores if key[0] == "ct")
 
 
 class YieldingMemo(dict):

@@ -22,7 +22,10 @@ purview search as first written: the MIP of every purview.  The bounded
 search must select exactly as it does, and each backend's bound must equal,
 under ``==``, the score its MIP search gives the bounding partition.  A
 classical system unfolded at every state must select what a fresh system
-selects at each, although it keeps every selection.
+selects at each, although it keeps every selection.  The per-unit marginal,
+likelihood and mechanism-averaged effect tables must equal, byte for byte,
+the per-state means and ``acc +=`` sums they replaced, and
+``intrinsic_difference`` its first numpy form.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import dataclasses
 import math
 import warnings
 import weakref
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -359,6 +363,103 @@ def test_mip_matches_loop_on_permutations(counts, seed, data):
         counts, random_permutation_tpm(np.random.default_rng(seed), num_states))
     state = tuple(data.draw(st.integers(0, c - 1)) for c in counts)
     assert_every_pair_matches(system, state)
+
+
+def literal_marginal(sys, mechanism, unit):
+    """``unit``'s next-state distribution as first memoized: one 2-D mean per mechanism state."""
+    index = sys._pin(mechanism.units, mechanism.state)
+    return sys._cond[unit][index].reshape(-1, sys.unit_state_counts[unit]).mean(0)
+
+
+def literal_likelihood(sys, unit, value, purview):
+    """``classical._likelihood`` as first written: one 1-D mean per purview state."""
+    factor = np.array([sys._cond[unit][sys._pin(purview, z) + (value,)].ravel().mean()
+                       for z in sys.subset_states(purview)])
+    total = float(factor.sum())
+    return factor / total if total > 0.0 else None
+
+
+def literal_unconstrained_effect(sys, purview, units):
+    """``classical.unconstrained_effect`` as first written: ``acc +=`` one product per state."""
+    states = sys.subset_states(units)
+    acc = np.zeros(math.prod(sys.unit_state_counts[u] for u in purview))
+    for state in states:
+        mechanism = cl.Mechanism(units, state)
+        acc += reduce(np.multiply.outer,
+                      [literal_marginal(sys, mechanism, u) for u in purview]).ravel()
+    return acc / len(states)
+
+
+def assert_unit_factors_match(system):
+    """Every marginal, likelihood and mechanism-averaged effect equals its per-state form."""
+    candidates = system.candidate_units
+    unit_sets = [(), *all_subsets(candidates)]
+    for units in unit_sets:
+        for state in system.subset_states(units):
+            mechanism = cl.Mechanism(units, state)
+            row = cl._marginals(system, units)[state]
+            for u in candidates:
+                want = literal_marginal(system, mechanism, u)
+                assert same_bytes(row[u, :system.unit_state_counts[u]], want), (mechanism, u)
+    for purview in all_subsets(candidates):
+        for unit in candidates:
+            for value in range(system.unit_state_counts[unit]):
+                assert same_bytes(cl._likelihood(system, unit, value, purview),
+                                  literal_likelihood(system, unit, value, purview)), purview
+        for units in unit_sets:
+            got = cl.unconstrained_effect(system, purview, units).probabilities
+            assert same_bytes(got, literal_unconstrained_effect(system, purview, units))
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_units=4).filter(lambda net: net[0].num_states <= 54))
+def test_unit_factor_tables_match_the_per_state_forms(net):
+    assert_unit_factors_match(net[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(networks(min_units=3, max_units=4, background=1)
+       .filter(lambda net: net[0].num_states <= 54))
+def test_unit_factor_tables_match_the_per_state_forms_with_a_background_unit(net):
+    assert_unit_factors_match(net[0])
+
+
+def numpy_intrinsic_difference(p, q, tol=cl.DEFAULT_TOL):
+    """``classical.intrinsic_difference`` as first written, over numpy arrays."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    vals = np.array([cl._pointwise(ps, qs, tol) for ps, qs in zip(p, q)])
+    value = float(np.max(vals)) if len(vals) else 0.0
+    if math.isinf(value):
+        return value, tuple(int(s) for s in np.nonzero(np.isinf(vals))[0])
+    return value, tuple(int(s) for s in np.nonzero(vals >= value - tol)[0])
+
+
+@pytest.mark.parametrize("p, q, tol", [
+    ([0.5, 0.5, 0.0, 1e-10], [0.25, 0.25, 0.25, 0.25], 1e-9),  # p within tol of 0
+    ([1e-9, 1.0 - 1e-9], [0.5, 0.5], 1e-9),  # p exactly at tol
+    ([0.5, 0.3, 0.2], [0.5, 1e-10, 0.5], 1e-9),  # q within tol: +inf
+    ([0.4, 0.4, 0.2], [0.0, 1e-12, 1.0], 1e-9),  # +inf ties
+    ([0.0, 0.0], [0.0, 0.0], 1e-9),  # nothing in the support
+    ([0.5, 0.5 - 1e-12, 1e-12], [1 / 3] * 3, 1e-9),  # ties within tol
+    ([0.5, 0.5 - 1e-3, 1e-3], [1 / 3] * 3, 1e-2),  # ties within a wide tol
+    ([0.25, 0.75], [0.75, 0.25], 1e-9),
+    ([0.2, 0.8], [0.2, 0.8], 1e-9),  # all scores 0
+    ([], [], 1e-9),
+])
+def test_intrinsic_difference_matches_the_numpy_form(p, q, tol):
+    value, states = cl.intrinsic_difference(p, q, tol)
+    want_value, want_states = numpy_intrinsic_difference(p, q, tol)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert states == want_states
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1e-10, 0.1, 0.25, 0.5, 1.0]),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=16))
+def test_intrinsic_difference_matches_the_numpy_form_on_random_pairs(pairs):
+    p, q = zip(*pairs)
+    assert cl.intrinsic_difference(p, q) == numpy_intrinsic_difference(p, q)
 
 
 def test_unreachable_cause_state_takes_the_empty_repertoire_path():
