@@ -7,9 +7,10 @@ over candidate purviews, scores them against chance with the intrinsic
 difference measure, quantifies irreducibility against the minimum
 disintegrating partition, and finally maximizes over purviews.  Running that
 for every mechanism subset of a state unfolds the distinction structure.
-Every repertoire is built from tables memoized per system: one of per-unit
-marginals per mechanism-unit set for effects, per-unit likelihoods for
-causes.  MIP scoring reads part tables built once per mechanism.
+Each mechanism's purview table holds, built in one pass, its repertoire
+over every candidate purview's states, one row each, with each purview's
+intrinsic information and search bound; a slice equals, bit for bit, the
+repertoire built for its purview alone.  MIP scoring reads sub-mechanisms'.
 
 Probabilities over a unit subset are indexed big-endian in ascending unit
 order (lowest unit index = most significant digit).  All scores are in ibits
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -103,13 +104,13 @@ class ClassicalSystem:
     units are clamped to a fixed state and excluded from the analysis.
 
     ``_memo`` keeps what analyses compute, keyed by mechanism state and unit
-    sets: a marginal table per unit set, per-unit likelihoods, repertoires
-    and the selection of each (mechanism, direction).  A mechanism's part
-    tables stay only until its selection is stored.  The rest is bounded by
-    the state space, never shrinks and lives as long as the system.  Entries
-    are written once and never changed; a search whose part tables another
-    thread drops keeps reading its own, so concurrent analyses of one system
-    can only duplicate work.
+    sets: the purview layout, marginals and effect baselines per unit set,
+    likelihoods per (unit, value), purview tables, part tables and
+    selections per (mechanism, direction), and named repertoires.  Part
+    tables stay until the selection is stored; the rest is bounded by the
+    state space and lives as long as the system.  Entries are written once;
+    a search whose part tables another thread drops keeps its own, so
+    concurrent analyses of one system can only duplicate work.
     """
 
     def __init__(self, unit_state_counts: Sequence[int], tpm,
@@ -240,12 +241,12 @@ def _marginals(sys: ClassicalSystem, units: tuple[int, ...]) -> np.ndarray:
     The other source units, bar the background, are averaged out, along a
     strided axis: each state's rows are summed one after another, as a 2-D
     ``mean(0)`` over that state alone would sum them.  Background rows and
-    values past a unit's state count are padding.
+    values from a unit's state count on, its pad, hold 1.0.
     """
     key = ("em", units)
     if key not in sys._memo:
         shape = tuple(sys.unit_state_counts[u] for u in units)
-        table = np.ones(shape + (sys.n_units, max(sys.unit_state_counts)))
+        table = np.ones(shape + (sys.n_units, max(sys.unit_state_counts) + 1))
         for u in sys.candidate_units:
             c = sys.unit_state_counts[u]
             rows = _units_first(sys, sys._cond[u], units).reshape(shape + (-1, c))
@@ -254,40 +255,155 @@ def _marginals(sys: ClassicalSystem, units: tuple[int, ...]) -> np.ndarray:
     return sys._memo[key]
 
 
-def _outer(sys: ClassicalSystem, rows: np.ndarray, purview: tuple[int, ...]) -> np.ndarray:
-    """Per [unit, value] row: the purview units' outer product, raveled, as ``np.kron`` has it."""
-    q = np.ones((len(rows), 1))
-    for u in purview:
-        q = (q[:, :, None] * rows[:, u, None, :sys.unit_state_counts[u]]).reshape(len(rows), -1)
+class _Layout(NamedTuple):
+    """Every candidate purview's states, one row each: R = prod(1 + c_u) - 1 rows.
+
+    Purviews come in ``search.all_subsets`` order, states big-endian.  A row's
+    digit per candidate u is its value, or c_u (the pad) outside the purview.
+    """
+
+    index: dict  # purview -> its position in ``search.all_subsets`` order
+    spans: list  # each purview's rows, as a slice
+    digits: np.ndarray  # [candidate, row]
+    strides: np.ndarray  # [unit]
+    row_of: np.ndarray  # [digit number] -> row; all pads -> R
+    uniform: np.ndarray  # [R] each purview's uniform distribution
+
+
+def _layout(sys: ClassicalSystem) -> _Layout:
+    """The system's purview rows, built once."""
+    layout = sys._memo.get(("lay",))
+    if layout is None:
+        units, purviews = sys.candidate_units, search.all_subsets(sys.candidate_units)
+        radix = [sys.unit_state_counts[u] + 1 for u in units]
+        digits = np.array([[dict(zip(z, state)).get(u, r - 1) for u, r in zip(units, radix)]
+                           for z in purviews for state in sys.subset_states(z)]).T
+        sizes = [len(sys.subset_states(z)) for z in purviews]
+        ends = np.cumsum(sizes).tolist()
+        row_of = np.full(math.prod(radix), ends[-1])
+        row_of[np.ravel_multi_index(digits, radix)] = np.arange(ends[-1])
+        strides = np.zeros(sys.n_units, dtype=int)
+        strides[list(units)] = [math.prod(radix[j + 1:]) for j in range(len(units))]
+        layout = sys._memo[("lay",)] = _Layout(
+            {z: i for i, z in enumerate(purviews)}, [slice(e - n, e) for e, n in zip(ends, sizes)],
+            digits, strides, row_of, np.repeat([1.0 / n for n in sizes], sizes))
+    return layout
+
+
+def _effects(sys: ClassicalSystem, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """[..., R]: per ``_marginals`` row, the effect probability of every purview row.
+
+    Candidate units multiply left to right; one outside a purview reads its
+    pad, 1.0, and x * 1.0 == x, so each purview's slice is bit for bit its
+    units' outer product.  ``take`` keeps the result C-ordered.
+    """
+    units = sys.candidate_units
+    q = rows[..., units[0], :].take(digits[0], axis=-1)
+    for u, d in zip(units[1:], digits[1:]):
+        q = q * rows[..., u, :].take(d, axis=-1)
     return q
 
 
-def _likelihood(sys: ClassicalSystem, unit: int, value: int,
-                purview: tuple[int, ...]) -> Optional[np.ndarray]:
-    """Normalized likelihood of ``unit`` taking ``value``, per purview state, memoized.
+def _baseline(sys: ClassicalSystem, units: tuple[int, ...]) -> np.ndarray:
+    """[R]: every purview's effect repertoire averaged over the states of ``units``, memoized.
 
-    Source units outside the purview are uniformly marginalized.  None when
-    the value is unreachable from every purview state.
+    The rows are C-ordered and R >= 2 wide, so ``sum(0)`` adds them in order
+    from state 0, as ``acc +=`` would (a strided axis sums pairwise from 8
+    states on).  For no units it is the fully marginalized repertoire.
     """
-    key = ("cl", unit, value, purview)
+    key = ("eb", units)
     if key not in sys._memo:
-        # Contiguous rows, one per purview state: each reduces as its 1-D mean.
-        rows = np.ascontiguousarray(_units_first(sys, sys._cond[unit][..., value], purview))
-        factor = rows.reshape(math.prod(sys.unit_state_counts[u] for u in purview), -1).mean(1)
-        total = float(factor.sum())
-        sys._memo[key] = factor / total if total > 0.0 else None
+        table = _marginals(sys, units)
+        rows = _effects(sys, table.reshape(-1, *table.shape[-2:]), _layout(sys).digits)
+        sys._memo[key] = rows.sum(0) / len(rows)
     return sys._memo[key]
 
 
-def _checked(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...]) -> tuple:
-    """The canonical purview, once it and the mechanism pass their checks."""
-    canon = sys._check_units(purview, "purview")
-    if not canon:
-        raise ValidationError("purview must be nonempty")
-    if len(sys._check_units(mechanism.units, "mechanism")) != len(mechanism.units):
-        raise ValidationError("mechanism units must be distinct")
-    sys._check_state(mechanism)
-    return canon
+def _likelihoods(sys: ClassicalSystem, unit: int, value: int) -> np.ndarray:
+    """[R]: the normalized likelihood of ``unit`` taking ``value``, per purview row, memoized.
+
+    Source units outside a purview are averaged out, one contiguous 1-D mean
+    per purview state, and each purview is divided by its own ``sum()``.  NaN
+    marks a purview from none of whose states the value is reachable.
+    """
+    key = ("cl", unit, value)
+    if key not in sys._memo:
+        parts = []
+        for z in _layout(sys).index:
+            rows = np.ascontiguousarray(_units_first(sys, sys._cond[unit][..., value], z))
+            factor = rows.reshape(math.prod(sys.unit_state_counts[u] for u in z), -1).mean(1)
+            total = float(factor.sum())
+            parts.append(factor / total if total > 0.0 else np.full(len(factor), math.nan))
+        sys._memo[key] = np.concatenate(parts)
+    return sys._memo[key]
+
+
+class _Table(NamedTuple):
+    """A (mechanism, direction)'s repertoire over every purview row, with its scores."""
+
+    probabilities: np.ndarray  # [R], read-only; NaN over an empty cause repertoire
+    ii: list  # per purview: (intrinsic information, states); states None if empty
+    bounds: list  # per purview: phi of {(-, Z), (M, -)} at its states
+
+
+def _table(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction) -> _Table:
+    """The mechanism's purview table in ``direction``; the mechanism is checked on a miss.
+
+    Effects are ``_effects`` of the ``_marginals`` row, scored against the
+    unit set's ``_baseline``; causes multiply ``_likelihoods`` left to right,
+    divide each purview by its own pairwise ``sum()`` (empty unless above 0)
+    and score against uniform, by ``intrinsic_difference``'s rule.  The
+    bound scores {(-, Z), (M, -)}, whose factor row is the empty mechanism's
+    repertoire, by ``_score``'s rules: for an effect the fully marginalized
+    one at the states; for a cause the uniform one that scored v, so max(0, v).
+    """
+    key = ("pt", mechanism, direction)
+    table = sys._memo.get(key)
+    if table is None:
+        units = search.requested_subsets([mechanism.units], sys._check_units)[0]
+        sys._check_state(mechanism)
+        layout = _layout(sys)
+        if direction == EFFECT:
+            p = _effects(sys, _marginals(sys, mechanism.units)[mechanism.state], layout.digits)
+            q = _baseline(sys, units)
+        else:
+            q = layout.uniform
+            factors = [_likelihoods(sys, u, v) for u, v in zip(*mechanism)]
+            p = reduce(np.multiply, factors, np.ones(len(q)))
+            for rows in layout.spans:
+                total = float(p[rows].sum())
+                p[rows] = p[rows] / total if total > 0.0 else math.nan
+        tol, pl, ql, zero = sys.tol, p.tolist(), q.tolist(), _baseline(sys, ()).tolist()
+        ii, bounds = [], []
+        for a, b in ((rows.start, rows.stop) for rows in layout.spans):
+            ii.append((0.0, None) if math.isnan(pl[a]) else
+                      _maximize([_pointwise(pl[s], ql[s], tol) for s in range(a, b)], tol))
+            value, states = ii[-1]
+            bounds.append(max(0.0, value) if direction == CAUSE else
+                          max([0.0, *(_pointwise(pl[a + s], zero[a + s], tol) for s in states)]))
+        p.setflags(write=False)
+        table = sys._memo[key] = _Table(p, ii, bounds)
+    return table
+
+
+def _purview_index(sys: ClassicalSystem, purview: tuple) -> tuple[tuple[int, ...], int]:
+    """The canonical purview and its layout position; checked when not canonical as given."""
+    index = _layout(sys).index
+    if purview not in index:
+        purview = sys._check_units(purview, "purview")
+        if not purview:
+            raise ValidationError("purview must be nonempty")
+    return purview, index[purview]
+
+
+def _memoized(sys: ClassicalSystem, key: tuple, purview: tuple,
+              rows: Callable[[], np.ndarray]) -> Optional[ClassicalRepertoire]:
+    """The purview's slice of ``rows()``, None if NaN marks it empty, memoized under ``key``."""
+    if key not in sys._memo:
+        purview, i = _purview_index(sys, purview)
+        row = rows()[_layout(sys).spans[i]]
+        sys._memo[key] = None if math.isnan(row[0]) else ClassicalRepertoire(purview, row)
+    return sys._memo[key]
 
 
 def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
@@ -297,68 +413,42 @@ def effect_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     The product form gives each purview unit an independent marginalized
     input, which discounts correlations produced by shared inputs from
     outside the mechanism.  An empty mechanism yields the fully marginalized
-    effect repertoire.  Arguments are checked on a memo miss only.
+    effect repertoire.  A ``_table`` slice; arguments are checked on a memo miss.
     """
     key = ("er", mechanism, purview := tuple(purview))
-    if key not in sys._memo:
-        purview = _checked(sys, mechanism, purview)
-        rows = _marginals(sys, mechanism.units)[mechanism.state][np.newaxis]
-        sys._memo[key] = ClassicalRepertoire(purview, _outer(sys, rows, purview)[0])
-    return sys._memo[key]
+    return _memoized(sys, key, purview, lambda: _table(sys, mechanism, EFFECT).probabilities)
 
 
 def unconstrained_effect(sys: ClassicalSystem, purview: Iterable[int],
                          mechanism_units: Iterable[int]) -> ClassicalRepertoire:
     """Effect repertoire averaged over the mechanism units' states; checked on a memo miss."""
     key = ("ue", units := tuple(mechanism_units), purview := tuple(purview))
-    if key not in sys._memo:
-        purview = sys._check_units(purview, "purview")
-        table = _marginals(sys, sys._check_units(units, "mechanism"))
-        rows = _outer(sys, table.reshape(-1, *table.shape[-2:]), purview)
-        # Rows >= 2 wide: numpy sums them in order, from 0, as ``acc +=`` would.
-        sys._memo[key] = ClassicalRepertoire(purview, rows.sum(0) / len(rows))
-    return sys._memo[key]
+    return _memoized(sys, key, purview,
+                     lambda: _baseline(sys, sys._check_units(units, "mechanism")))
 
 
 def cause_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
                      purview: Iterable[int]) -> Optional[ClassicalRepertoire]:
     """Bayesian inversion over product distributions, per mechanism unit.
 
-    The mechanism units' likelihoods (``_likelihood``) are multiplied and
+    The mechanism units' likelihoods (``_likelihoods``) are multiplied and
     renormalized.  Returns None when the mechanism state is unreachable from
     every purview state, and the uniform repertoire for an empty mechanism.
-    Arguments are checked on a memo miss only.
+    A ``_table`` slice; arguments are checked on a memo miss.
     """
     key = ("cr", mechanism, purview := tuple(purview))
-    if key not in sys._memo:
-        purview = _checked(sys, mechanism, purview)
-        factors = [_likelihood(sys, u, v, purview) for u, v in zip(*mechanism)]
-        if not factors:
-            sys._memo[key] = unconstrained_cause(sys, purview)
-        elif any(f is None for f in factors):
-            sys._memo[key] = None
-        else:
-            result = reduce(np.multiply, factors)
-            total = float(result.sum())
-            sys._memo[key] = ClassicalRepertoire(purview, result / total) if total > 0 else None
-    return sys._memo[key]
+    return _memoized(sys, key, purview, lambda: _table(sys, mechanism, CAUSE).probabilities)
 
 
 def unconstrained_cause(sys: ClassicalSystem, purview: Iterable[int]) -> ClassicalRepertoire:
     """Uniform distribution over the purview's states; checked on a memo miss."""
     key = ("uc", purview := tuple(purview))
-    if key not in sys._memo:
-        purview = sys._check_units(purview, "purview")
-        n = math.prod(sys.unit_state_counts[u] for u in purview)
-        sys._memo[key] = ClassicalRepertoire(purview, np.full(n, 1.0 / n))
-    return sys._memo[key]
+    return _memoized(sys, key, purview, lambda: _layout(sys).uniform)
 
 
 def _repertoire(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
                 direction: Direction) -> Optional[ClassicalRepertoire]:
-    if direction == EFFECT:
-        return effect_repertoire(sys, mechanism, purview)
-    return cause_repertoire(sys, mechanism, purview)
+    return (effect_repertoire if direction == EFFECT else cause_repertoire)(sys, mechanism, purview)
 
 
 # -- information measures -------------------------------------------------
@@ -380,6 +470,14 @@ def _pointwise_all(p, q, tol: float) -> list[float]:
     return [_pointwise(ps, qs, tol) for ps, qs in zip(p.tolist(), q.tolist())]
 
 
+def _maximize(values: list[float], tol: float) -> tuple[float, tuple[int, ...]]:
+    """The largest value (NaN if any is) and the states within ``tol`` of it, or at +inf."""
+    value = max(values, default=0.0) if not math.isnan(sum(values)) else math.nan
+    if math.isinf(value):
+        return value, tuple(s for s, v in enumerate(values) if math.isinf(v))
+    return value, tuple(s for s, v in enumerate(values) if v >= value - tol)
+
+
 def intrinsic_difference(p, q, tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:
     """max_s p_s * log2(p_s / q_s), with the maximizing state(s).
 
@@ -388,11 +486,7 @@ def intrinsic_difference(p, q, tol: float = DEFAULT_TOL) -> tuple[float, tuple[i
     within ``tol`` of the maximum are all returned, the winning value first
     among equals.
     """
-    vals = _pointwise_all(p, q, tol)
-    value = max(vals, default=0.0) if not math.isnan(sum(vals)) else math.nan
-    if math.isinf(value):
-        return value, tuple(s for s, v in enumerate(vals) if math.isinf(v))
-    return value, tuple(s for s, v in enumerate(vals) if v >= value - tol)
+    return _maximize(_pointwise_all(p, q, tol), tol)
 
 
 def kld(p, q, tol: float = DEFAULT_TOL) -> float:
@@ -409,109 +503,50 @@ def intrinsic_information(sys: ClassicalSystem, mechanism: Mechanism,
     to the uniform distribution.  Returns (value, maximizing states); the
     states are None when the cause repertoire is empty, in which case the
     value is 0 by convention.  Supports and ties are taken at ``sys.tol``.
-    Results are memoized per repertoire; the repertoire functions check the
-    arguments on a memo miss.
+    A ``_table`` read; arguments are checked as the repertoires check them.
     """
-    key = ("ii", mechanism, purview := tuple(purview), direction)
-    if key not in sys._memo:
-        rep = _repertoire(sys, mechanism, purview, direction)
-        if rep is None:
-            sys._memo[key] = (0.0, None)
-        else:
-            baseline = (unconstrained_effect(sys, rep.purview, mechanism.units)
-                        if direction == EFFECT else unconstrained_cause(sys, rep.purview))
-            sys._memo[key] = intrinsic_difference(rep.probabilities, baseline.probabilities,
-                                                  sys.tol)
-    return sys._memo[key]
+    _, i = _purview_index(sys, tuple(purview))
+    return _table(sys, mechanism, direction).ii[i]
 
 
 # -- partitioned repertoires and phi --------------------------------------
 
 
-def _sub_mechanisms(sys: ClassicalSystem, mechanism: Mechanism) -> list[Mechanism]:
-    """The sub-mechanism of each bitmask of ascending mechanism positions, memoized."""
-    key = ("sm", mechanism)
-    if key not in sys._memo:
+def _part_tables(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
+                 ) -> np.ndarray:
+    """[mask, row]: sub-mechanism tables, 1.0 at row R; read once, as a search may drop it."""
+    key = ("parts", mechanism, direction)
+    tables = sys._memo.get(key)
+    if tables is None:
         units = sorted(mechanism.units)
-        sys._memo[key] = [mechanism.restrict(u for i, u in enumerate(units) if mask >> i & 1)
-                          for mask in range(1 << len(units))]
-    return sys._memo[key]
-
-
-def _effect_table(sys: ClassicalSystem, mechanism: Mechanism) -> np.ndarray:
-    """[mask, unit, value]: each sub-mechanism's ``_marginals``, padded alike."""
-    key = ("et", mechanism)
-    table = sys._memo.get(key)  # read once: a finished search may drop the entry
-    if table is None:
-        table = sys._memo[key] = np.array([_marginals(sys, sub.units)[sub.state]
-                                           for sub in _sub_mechanisms(sys, mechanism)])
-    return table
-
-
-def _cause_table(sys: ClassicalSystem, mechanism: Mechanism, z_part: tuple[int, ...]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """[mask]: each sub-mechanism's ``cause_repertoire`` over ``z_part``, and which are empty.
-
-    ``cause_repertoire`` is looked up at call time; mask 0 is the uniform
-    repertoire, and an empty repertoire's row holds ones.  The mechanism's
-    tables share one memo entry, keyed by ``z_part``.
-    """
-    tables = sys._memo.setdefault(("ct", mechanism), {})  # as in ``_effect_table``
-    table = tables.get(z_part)
-    if table is None:
-        reps = [cause_repertoire(sys, sub, z_part) for sub in _sub_mechanisms(sys, mechanism)]
-        ones = np.ones(math.prod(sys.unit_state_counts[u] for u in z_part))
-        table = tables[z_part] = (np.array([ones if r is None else r.probabilities for r in reps]),
-                                  np.array([r is None for r in reps]))
-    return table
-
-
-def _parts(part_m: np.ndarray, part_z: np.ndarray) -> tuple:
-    """Each part's mechanism bitmask, ``part_z``, and (positions, parts, bitmasks) per z part."""
-    masks = part_m @ (1 << np.arange(part_m.shape[1]))
-    z_masks = part_z @ (1 << np.arange(part_z.shape[1]))
-    groups = [(tuple(i for i in range(part_z.shape[1]) if z >> i & 1), rows, masks[rows])
-              for z in sorted(set(z_masks.tolist()) - {0})
-              for rows in [np.flatnonzero(z_masks == z)]]
-    return masks, part_z, groups
-
-
-@lru_cache(maxsize=None)
-def _shape_parts(m_size: int, z_size: int) -> tuple:
-    """``_parts`` of ``partition_shape(m_size, z_size)``, built once per shape."""
-    return _parts(*partition_shape(m_size, z_size)[:2])
+        subs = [mechanism.restrict(u for i, u in enumerate(units) if mask >> i & 1)
+                for mask in range(1 << len(units))]
+        tables = np.ones((len(subs), len(_layout(sys).row_of)))
+        tables[:, :-1] = [_table(sys, sub, direction).probabilities for sub in subs]
+        sys._memo[key] = tables
+    return tables
 
 
 def _factor_table(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                  direction: Direction, parts: tuple, states: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  direction: Direction, part_m: np.ndarray, part_z: np.ndarray,
+                  states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each part's repertoire read at the purview ``states``, one row per part.
 
-    ``parts`` are the ``_parts`` of position masks over the mechanism units
-    and the purview, as in ``PartitionShape``; a mechanism part indexes the
-    tables by its bitmask.  Parts without a purview and the padding row hold
-    1.0; a part with an empty mechanism gets the fully marginalized
-    repertoire.  Also returns which rows have an empty cause repertoire.
+    ``part_m`` and ``part_z`` are position masks, as in ``PartitionShape``.
+    A part reads its mechanism bitmask's ``_part_tables`` row at the layout
+    rows with the states' values on its purview and pads elsewhere, so one
+    without a purview, like the padding row, holds 1.0.  Also returns which
+    rows have an empty cause repertoire (NaN).
     """
-    masks, part_z, groups = parts
-    counts = [sys.unit_state_counts[u] for u in purview]
-    digits = np.unravel_index(states, counts)
+    layout, tables = _layout(sys), _part_tables(sys, mechanism, direction)
+    pads = np.array([sys.unit_state_counts[u] for u in purview])
+    strides, top = layout.strides[list(purview)], len(layout.row_of) - 1
+    shift = (np.array(np.unravel_index(states, pads)) - pads[:, None]) * strides[:, None]
+    masks = part_m @ (1 << np.arange(part_m.shape[1]))
     factors = np.ones((len(masks) + 1, len(states)))
-    missing = np.zeros(len(masks) + 1, dtype=bool)
-    if direction == EFFECT:
-        # One gather, 1.0 outside each part, multiplied left to right as ``_outer``.
-        gathered = np.where(part_z[:, :, None], _effect_table(sys, mechanism)[
-            masks[:, None, None], np.array(purview)[:, None], digits], 1.0)
-        factors[:-1] = gathered[:, 0]
-        for i in range(1, len(purview)):
-            factors[:-1] *= gathered[:, i]
-        return factors, missing
-    for on, rows, row_masks in groups:
-        reps, empty = _cause_table(sys, mechanism, tuple(purview[i] for i in on))
-        index = np.ravel_multi_index([digits[i] for i in on], [counts[i] for i in on])
-        factors[rows] = reps[row_masks[:, None], index]
-        missing[rows] = empty[row_masks]
-    return factors, missing
+    factors[:-1] = tables[masks[:, None], layout.row_of[top + part_z @ shift]]
+    first = layout.row_of[top - part_z @ (pads * strides)]  # each part's first row
+    return factors, np.append(np.isnan(tables[masks, first]), False)
 
 
 def _products(factors: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -528,12 +563,13 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     """Product over the partition's parts of their independent repertoires.
 
     A part with an empty purview contributes a scalar 1.  Returns None if a
-    part's cause repertoire is empty.
+    part's cause repertoire is empty.  The sub-mechanisms' tables check.
     """
-    purview = _checked(sys, mechanism, tuple(purview))
+    purview, _ = _purview_index(sys, tuple(purview))
     n = math.prod(sys.unit_state_counts[u] for u in purview)
-    parts = _parts(*part_masks(theta.parts, sorted(mechanism.units), purview))
-    factors, missing = _factor_table(sys, mechanism, purview, direction, parts, np.arange(n))
+    factors, missing = _factor_table(sys, mechanism, purview, direction,
+                                     *part_masks(theta.parts, sorted(mechanism.units), purview),
+                                     np.arange(n))
     if missing.any():
         return None
     return ClassicalRepertoire(purview, _products(factors, np.arange(theta.k)[np.newaxis])[0])
@@ -556,10 +592,9 @@ def _phi(sys, mechanism, purview, theta, direction, states=None) -> float:
         return 0.0
     if states is None:
         _, states = intrinsic_information(sys, mechanism, purview, direction)
-    part_m, part_z = part_masks(theta.parts, sorted(mechanism.units), purview)
     return float(_score_partitions(sys, mechanism, purview, direction, states,
-                                   np.arange(theta.k)[np.newaxis], part_m, part_z,
-                                   _parts(part_m, part_z))[0])
+                                   np.arange(theta.k)[np.newaxis],
+                                   *part_masks(theta.parts, sorted(mechanism.units), purview))[0])
 
 
 def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -569,30 +604,31 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     The returned value is the unnormalized phi at the minimizing partition;
     ties are broken by ``search.mip``.
     """
-    return _mip(sys, mechanism, sys._check_units(purview, "purview"), direction)
+    purview = sys._check_units(purview, "purview")
+    row, value = _mip(sys, mechanism, purview, direction)
+    m_units = tuple(sorted(mechanism.units))
+    return partition_shape(len(m_units), len(purview)).partition(row, m_units, purview), value
 
 
-def _mip(sys, mechanism, purview, direction) -> tuple[DisintegratingPartition, float]:
+def _mip(sys, mechanism, purview, direction) -> tuple[int, float]:
+    """The MIP's row in the pair's ``partition_shape``, unlabeled, and its phi."""
     return search.mip(sys, mechanism, tuple(sorted(mechanism.units)), purview, direction,
                       intrinsic_information, _score_partitions)
 
 
 def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
                       direction: Direction, states: Sequence[int], slots: np.ndarray,
-                      part_m: np.ndarray, part_z: np.ndarray, parts: Optional[tuple] = None
-                      ) -> np.ndarray:
+                      part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
     """``phi`` of every partition ``slots`` lists, in one pass.
 
-    ``parts`` defaults to the ``_parts`` of the pair's shape, whose masks
-    ``search.mip`` passes.  Each row's partitioned repertoire is read only at
-    the intrinsic states in p's support, from the factor table
-    ``partitioned_repertoire`` also uses, so the two agree bit for bit.
-    Each value is ``_score``'s; +inf where a part's cause repertoire is empty.
+    Each row's partitioned repertoire is read only at the intrinsic states
+    in p's support, from the factor table ``partitioned_repertoire`` also
+    uses, so the two agree bit for bit.  Each value is ``_score``'s; +inf
+    where a part's cause repertoire is empty.
     """
-    parts = parts or _shape_parts(part_m.shape[1], part_z.shape[1])
     p = _repertoire(sys, mechanism, purview, direction).probabilities
     live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
-    factors, missing = _factor_table(sys, mechanism, purview, direction, parts, live)
+    factors, missing = _factor_table(sys, mechanism, purview, direction, part_m, part_z, live)
     values = _score(p[live], _products(factors, slots), sys.tol)
     if missing.any():
         values[missing[slots].any(axis=1)] = math.inf
@@ -612,21 +648,8 @@ def _score(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
 
 def _max_norm_phi(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
                   direction: Direction, states: Sequence[int]) -> float:
-    """``phi`` of {(-, Z), (M, -)} at the intrinsic ``states``: the bound ``search.phi_max`` reads.
-
-    That partition's repertoire is the empty mechanism's over the purview,
-    equal entry for entry to its row of the factor table.  This scores that
-    row by ``_score``'s floor, support rule and operations, over Python
-    floats.  For a cause the row is the uniform baseline that
-    ``intrinsic_information`` scored to v.  The states tie with v's
-    maximizer, in the support if v > 0, so the row scores v; else no state
-    scores above v <= 0, and the row scores 0.
-    """
-    if direction == CAUSE:
-        return max(0.0, intrinsic_information(sys, mechanism, purview, direction)[0])
-    p = _repertoire(sys, mechanism, purview, direction).probabilities.tolist()
-    q = _repertoire(sys, Mechanism((), ()), purview, direction).probabilities.tolist()
-    return max([0.0, *(_pointwise(p[s], q[s], sys.tol) for s in states)])
+    """``phi`` of {(-, Z), (M, -)} at the intrinsic ``states``, as ``_table`` scored it."""
+    return _table(sys, mechanism, direction).bounds[_purview_index(sys, purview)[1]]
 
 
 def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
@@ -635,14 +658,12 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
 
     Purview and intrinsic-state ties are resolved by ``search.phi_max``;
     every tied intrinsic state is kept.  The result is memoized per
-    (mechanism, direction), and the mechanism is checked on a memo miss
-    only.  Storing it drops the mechanism's part tables, which only its
-    searches read.
+    (mechanism, direction), checked when its ``_table`` is built.  Storing
+    it drops the part tables, which only its searches read.
     """
     key = ("pm", mechanism, direction)
     if key not in sys._memo:
-        sys._check_units(mechanism.units, "mechanism")
-        sys._check_state(mechanism)
+        _table(sys, mechanism, direction)
         # The search passes only sorted subsets of the checked candidate
         # units, so ``_mip`` and ``_phi`` take them unchecked.
         found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
@@ -656,8 +677,7 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
                 found.phi, found.mip, found.normalization, found.tied_purviews,
             )
         sys._memo[key] = distinction
-        sys._memo.pop(("et", mechanism), None)
-        sys._memo.pop(("ct", mechanism), None)
+        sys._memo.pop(("parts", mechanism, direction), None)
     return sys._memo[key]
 
 

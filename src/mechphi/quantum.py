@@ -38,6 +38,7 @@ from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     Units,
     enumerate_disintegrating,
     part_masks,
+    partition_shape,
     relabel,
     set_partitions,
 )
@@ -638,8 +639,10 @@ def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
     Ties are broken by ``search.mip``.
     """
     purview = sys._check_qubits(purview, "purview")
-    return search.mip(sys, mechanism, mechanism.qubits, purview, direction,
-                      intrinsic_information, _score_partitions)
+    row, value = search.mip(sys, mechanism, mechanism.qubits, purview, direction,
+                            intrinsic_information, _score_partitions)
+    return (partition_shape(len(mechanism.qubits), len(purview))
+            .partition(row, mechanism.qubits, purview), value)
 
 
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,

@@ -51,8 +51,7 @@ def all_subsets(units: Sequence[int]) -> list[Units]:
 
 
 def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
-        intrinsic_information: Callable, score_partitions: Callable
-        ) -> tuple[DisintegratingPartition, float]:
+        intrinsic_information: Callable, score_partitions: Callable) -> tuple[int, float]:
     """Minimum partition (argmin of phi / severed pairs) and its unnormalized phi.
 
     Ties go to the smaller unnormalized phi, then to canonical enumeration
@@ -60,13 +59,14 @@ def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
     slots, part_m, part_z)`` returns the phi of every partition ``slots``
     lists: row ``i`` names partition ``i``'s parts as indices into the
     position masks ``part_m`` (over ``m_units``) and ``part_z`` (over
-    ``purview``), padded with ``len(part_m)``.  Only the winning partition is
-    labeled.  Without intrinsic states the first partition scores 0.
+    ``purview``), padded with ``len(part_m)``.  The partition is returned
+    as its row in ``partition_shape(len(m_units), len(purview))``, unlabeled.
+    Without intrinsic states the first partition scores 0.
     """
     shape = partition_shape(len(m_units), len(purview))
     _, states = intrinsic_information(sys, mechanism, purview, direction)
     if states is None:
-        return shape.partition(0, m_units, purview), 0.0
+        return 0, 0.0
     values = score_partitions(sys, mechanism, purview, direction, states, shape.slots,
                               shape.part_m, shape.part_z)
     if np.isnan(values).any():  # NaN would order differently here than in a sort
@@ -75,7 +75,7 @@ def mip(sys, mechanism, m_units: Units, purview: Units, direction: Direction,
     ratio = values / shape.norms
     tied = np.flatnonzero(ratio == ratio.min())
     best = int(tied[np.argmin(values[tied])])
-    return shape.partition(best, m_units, purview), float(values[best])
+    return best, float(values[best])
 
 
 def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
@@ -86,6 +86,8 @@ def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
     Purviews tying within ``sys.tol`` resolve toward the larger purview, then
     the lower units; the others are recorded.  Intrinsic states tying at the
     MIP are all kept.  None when no purview has phi above ``sys.tol``.
+    ``mip`` may return its partition as a row of the pair's shape, as
+    ``search.mip`` does; only the selected purview's is labeled.
 
     ``bound(sys, mechanism, purview, direction, states)`` is the phi of
     {(-, Z), (M, -)} at the intrinsic ``states``, bit for bit the value
@@ -118,6 +120,8 @@ def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
     tied.sort(key=lambda z: (-len(z), z))
     selected = tied[0]
     theta, value = per_purview[selected]
+    if not isinstance(theta, DisintegratingPartition):
+        theta = partition_shape(len(m_units), len(selected)).partition(theta, m_units, selected)
 
     _, states = intrinsic_information(sys, mechanism, selected, direction)
     if len(states) > 1:

@@ -36,6 +36,7 @@ from mechphi.classical import (
 )
 from mechphi.errors import ValidationError
 from mechphi.partitions import DisintegratingPartition, enumerate_disintegrating, normalization
+from mechphi.report import parse_request, run
 
 A1 = Mechanism((0,), (1,))
 B0 = Mechanism((1,), (0,))
@@ -329,28 +330,58 @@ class TestUnfold:
 
 class TestUnitFactors:
     def test_each_marginal_and_likelihood_is_computed_once(self):
-        """One 4-unit unfold computes each per-unit factor table once, and every one it needs.
+        """One 4-unit unfold computes each table once, and every one it needs.
 
         The marginals are one table per unit subset, the empty one included
-        (16); the likelihoods cover every unit at its ``state_t1`` value
-        against every purview (4 x 15).  Each searched cause mechanism's
-        part tables are one ``ct`` entry, stored once although its finished
-        search drops it.
+        (16).  The purview layout is built once.  The likelihoods are one
+        vector per unit at its ``state_t1`` value (4).  Each mechanism has
+        one purview table per direction (30), and so has the empty mechanism,
+        whose tables the part tables read (2); each effect table's unit set
+        has one baseline (16).  Each searched
+        mechanism's part tables are one ``parts`` entry per direction, stored
+        once although its finished search drops it.
         """
         sys = ClassicalSystem([2, 2, 2, 2], random_ci_tpm(np.random.default_rng(11), [2] * 4))
         sys._memo = CountingMemo()
-        state_t1 = (1, 1, 0, 1)
-        unfold(sys, state_t=(0, 1, 1, 0), state_t1=state_t1)
+        state_t, state_t1 = (0, 1, 1, 0), (1, 1, 0, 1)
+        unfold(sys, state_t=state_t, state_t1=state_t1)
         kinds = Counter(key[0] for key in sys._memo.stores)
-        assert {key[1] for key in sys._memo.stores if key[0] == "em"} == {
-            (), *search.all_subsets(range(4))}
+        subsets = search.all_subsets(range(4))
+        assert {key[1] for key in sys._memo.stores if key[0] == "em"} == {(), *subsets}
         assert kinds["em"] == 16
-        assert kinds["cl"] == 4 * 15
-        assert kinds["ct"] > 0
+        assert kinds["lay"] == 1
+        assert {key[1:] for key in sys._memo.stores if key[0] == "cl"} == {
+            (u, state_t1[u]) for u in range(4)}
+        assert {key[1:] for key in sys._memo.stores if key[0] == "pt"} == {
+            (Mechanism(units, sys.state_of(full, units)), direction)
+            for direction, full in (("effect", state_t), ("cause", state_t1))
+            for units in [(), *subsets]}
+        assert {key[1] for key in sys._memo.stores if key[0] == "eb"} == {(), *subsets}
+        assert kinds["parts"] > 0
         assert max(sys._memo.stores.values()) == 1
-        assert all(key[2] == state_t1[key[1]] for key in sys._memo.stores if key[0] == "cl")
-        assert all(key[1].state == sys.state_of(state_t1, key[1].units)
-                   for key in sys._memo.stores if key[0] == "ct")
+        assert all(key[1].state == sys.state_of(state_t1 if key[2] == "cause" else state_t,
+                                                key[1].units)
+                   for key in sys._memo.stores if key[0] == "parts")
+
+    def test_each_mechanism_is_checked_once_per_direction(self, monkeypatch):
+        """Six random 4-unit requests check units only where a purview table is built.
+
+        That is 32 checks per request: 15 mechanisms and the empty one, whose
+        tables the part tables read, in two directions.  Before the tables,
+        the same six requests made 8,730 checks.
+        """
+        calls = []
+        check = ClassicalSystem._check_units
+        monkeypatch.setattr(ClassicalSystem, "_check_units",
+                            lambda *args: calls.append(args) or check(*args))
+        for index in range(6):
+            rng = np.random.default_rng([20230105, index])
+            tpm = random_ci_tpm(rng, [2] * 4)
+            run(parse_request({
+                "backend": "classical", "unit_states": [2] * 4, "tpm": tpm.tolist(),
+                "state_t": rng.integers(0, 2, 4).tolist(),
+                "state_t1": rng.integers(0, 2, 4).tolist(), "direction": "both"}))
+        assert len(calls) == 6 * 32
 
 
 class YieldingMemo(dict):

@@ -25,7 +25,9 @@ classical system unfolded at every state must select what a fresh system
 selects at each, although it keeps every selection.  The per-unit marginal,
 likelihood and mechanism-averaged effect tables must equal, byte for byte,
 the per-state means and ``acc +=`` sums they replaced, and
-``intrinsic_difference`` its first numpy form.
+``intrinsic_difference`` its first numpy form.  Every slice of a purview
+table, with its intrinsic information and bound, must equal byte for byte
+what the per-purview code built for that purview alone.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    CNOT, GHZ, S2, W, ket, pure, random_density, random_permutation_tpm, random_unitary,
+    CNOT, GHZ, S2, W, ket, pure, random_ci_tpm, random_density, random_permutation_tpm,
+    random_unitary,
 )
 from mechphi import classical as cl
 from mechphi import quantum as qm
@@ -372,9 +375,17 @@ def literal_marginal(sys, mechanism, unit):
 
 
 def literal_likelihood(sys, unit, value, purview):
-    """``classical._likelihood`` as first written: one 1-D mean per purview state."""
+    """A purview's normalized likelihood as first written: one 1-D mean per purview state."""
     factor = np.array([sys._cond[unit][sys._pin(purview, z) + (value,)].ravel().mean()
                        for z in sys.subset_states(purview)])
+    total = float(factor.sum())
+    return factor / total if total > 0.0 else None
+
+
+def rowwise_likelihood(sys, unit, value, purview):
+    """A purview's normalized likelihood as last written per purview: one row-wise mean."""
+    rows = np.ascontiguousarray(cl._units_first(sys, sys._cond[unit][..., value], purview))
+    factor = rows.reshape(math.prod(sys.unit_state_counts[u] for u in purview), -1).mean(1)
     total = float(factor.sum())
     return factor / total if total > 0.0 else None
 
@@ -390,6 +401,12 @@ def literal_unconstrained_effect(sys, purview, units):
     return acc / len(states)
 
 
+def purview_slices(system):
+    """(purview, its row slice) of every candidate purview, in layout order."""
+    layout = cl._layout(system)
+    return list(zip(layout.index, layout.spans))
+
+
 def assert_unit_factors_match(system):
     """Every marginal, likelihood and mechanism-averaged effect equals its per-state form."""
     candidates = system.candidate_units
@@ -401,14 +418,19 @@ def assert_unit_factors_match(system):
             for u in candidates:
                 want = literal_marginal(system, mechanism, u)
                 assert same_bytes(row[u, :system.unit_state_counts[u]], want), (mechanism, u)
-    for purview in all_subsets(candidates):
-        for unit in candidates:
-            for value in range(system.unit_state_counts[unit]):
-                assert same_bytes(cl._likelihood(system, unit, value, purview),
-                                  literal_likelihood(system, unit, value, purview)), purview
+    for unit in candidates:
+        for value in range(system.unit_state_counts[unit]):
+            table = cl._likelihoods(system, unit, value)
+            for purview, rows in purview_slices(system):
+                got = None if np.isnan(table[rows]).any() else table[rows]
+                assert same_bytes(got, literal_likelihood(system, unit, value, purview)), purview
+                assert same_bytes(got, rowwise_likelihood(system, unit, value, purview)), purview
+    for purview, rows in purview_slices(system):
         for units in unit_sets:
+            want = literal_unconstrained_effect(system, purview, units)
+            assert same_bytes(cl._baseline(system, units)[rows], want), (purview, units)
             got = cl.unconstrained_effect(system, purview, units).probabilities
-            assert same_bytes(got, literal_unconstrained_effect(system, purview, units))
+            assert same_bytes(got, want), (purview, units)
 
 
 @settings(max_examples=40, deadline=None)
@@ -422,6 +444,100 @@ def test_unit_factor_tables_match_the_per_state_forms(net):
        .filter(lambda net: net[0].num_states <= 54))
 def test_unit_factor_tables_match_the_per_state_forms_with_a_background_unit(net):
     assert_unit_factors_match(net[0])
+
+
+def literal_outer(sys, rows, purview):
+    """``classical._outer`` as last written: per row, the purview units' outer product."""
+    q = np.ones((len(rows), 1))
+    for u in purview:
+        q = (q[:, :, None] * rows[:, u, None, :sys.unit_state_counts[u]]).reshape(len(rows), -1)
+    return q
+
+
+def per_purview_repertoire(sys, mechanism, purview, direction):
+    """One purview's repertoire as last built on its own, None for an empty cause."""
+    if direction == "effect":
+        return literal_outer(sys, cl._marginals(sys, mechanism.units)[mechanism.state][None],
+                             purview)[0]
+    factors = [rowwise_likelihood(sys, u, v, purview) for u, v in zip(*mechanism)]
+    if not factors:
+        n = math.prod(sys.unit_state_counts[u] for u in purview)
+        return np.full(n, 1.0 / n)
+    if any(f is None for f in factors):
+        return None
+    result = reduce(np.multiply, factors)
+    total = float(result.sum())
+    return result / total if total > 0 else None
+
+
+def per_purview_scores(sys, mechanism, purview, direction):
+    """``intrinsic_information`` and ``_max_norm_phi`` as last computed, one purview at a time."""
+    p = per_purview_repertoire(sys, mechanism, purview, direction)
+    if p is None:
+        return (0.0, None), 0.0
+    n = len(p)
+    q = (literal_unconstrained_effect(sys, purview, mechanism.units) if direction == "effect"
+         else np.full(n, 1.0 / n))
+    value, states = cl.intrinsic_difference(p, q, sys.tol)
+    if direction == "cause":
+        return (value, states), max(0.0, value)
+    zero = per_purview_repertoire(sys, cl.Mechanism((), ()), purview, "effect").tolist()
+    p = p.tolist()
+    return (value, states), max([0.0, *(cl._pointwise(p[s], zero[s], sys.tol) for s in states)])
+
+
+def float_bytes(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def assert_purview_tables_match(system, state):
+    """Every (mechanism, direction) table equals its per-purview forms, byte for byte."""
+    for direction in ("effect", "cause"):
+        for units in [(), *all_subsets(system.candidate_units)]:
+            mech = cl.Mechanism(units, system.state_of(state, units))
+            table = cl._table(system, mech, direction)
+            for i, (purview, rows) in enumerate(purview_slices(system)):
+                where = (direction, units, purview)
+                want = per_purview_repertoire(system, mech, purview, direction)
+                (value, states), bound = table.ii[i], table.bounds[i]
+                assert same_bytes(None if states is None else table.probabilities[rows],
+                                  want), where
+                (want_value, want_states), want_bound = per_purview_scores(
+                    system, mech, purview, direction)
+                assert float_bytes(value) == float_bytes(want_value), where
+                assert states == want_states, where
+                assert float_bytes(bound) == float_bytes(want_bound), where
+
+
+@settings(max_examples=30, deadline=None)
+@given(networks(max_units=4).filter(lambda net: net[0].num_states <= 54))
+def test_purview_tables_match_the_per_purview_forms(net):
+    assert_purview_tables_match(*net)
+
+
+@settings(max_examples=15, deadline=None)
+@given(networks(min_units=3, max_units=4, background=1)
+       .filter(lambda net: net[0].num_states <= 54))
+def test_purview_tables_match_the_per_purview_forms_with_a_background_unit(net):
+    assert_purview_tables_match(*net)
+
+
+def test_cause_purviews_are_normalized_by_their_own_sum():
+    """Not by ``np.add.reduceat``, which sums sequentially and differs from 8 states on."""
+    system = cl.ClassicalSystem([2] * 4, random_ci_tpm(np.random.default_rng(3), [2] * 4))
+    mech = cl.Mechanism((0, 1, 2, 3), (1, 0, 1, 1))
+    table = cl._table(system, mech, "cause")
+    starts = [rows.start for _, rows in purview_slices(system)]
+    product_ = reduce(np.multiply, [cl._likelihoods(system, u, v) for u, v in zip(*mech)])
+    by_reduceat = product_ / np.repeat(np.add.reduceat(product_, starts),
+                                       np.diff([*starts, len(product_)]))
+    differs = []
+    for purview, rows in purview_slices(system):
+        want = per_purview_repertoire(system, mech, purview, "cause")
+        assert same_bytes(table.probabilities[rows], want), purview
+        if not same_bytes(by_reduceat[rows], want):
+            differs.append(len(want))
+    assert max(differs) >= 8
 
 
 def numpy_intrinsic_difference(p, q, tol=cl.DEFAULT_TOL):
@@ -494,15 +610,21 @@ def test_unsupported_partitions_score_infinite():
 
 
 def test_empty_part_repertoire_scores_infinite(monkeypatch):
-    """A part whose cause repertoire is empty makes its partitions score +inf."""
+    """A part whose cause repertoire is empty makes its partitions score +inf.
+
+    Unit 1's cause table is emptied, so every purview of it is empty: its
+    cause repertoires (NaN), intrinsic information and bounds.
+    """
     system = conflicting_noisy_copies(eps=0.1)
     mech = cl.Mechanism((0, 1), (1, 0))
-    cause_repertoire = cl.cause_repertoire
+    table = cl._table
 
-    def without_unit_1(sys, mechanism, purview):
-        if mechanism.units == (1,):
-            return None
-        return cause_repertoire(sys, mechanism, purview)
+    def without_unit_1(sys, mechanism, direction):
+        got = table(sys, mechanism, direction)
+        if mechanism.units == (1,) and direction == "cause":
+            return cl._Table(np.full(len(got.probabilities), math.nan),
+                             [(0.0, None)] * len(got.ii), [0.0] * len(got.bounds))
+        return got
 
     literal_cause = LiteralClassical.cause_repertoire
 
@@ -511,7 +633,7 @@ def test_empty_part_repertoire_scores_infinite(monkeypatch):
             return None
         return literal_cause(self, mechanism, purview)
 
-    monkeypatch.setattr(cl, "cause_repertoire", without_unit_1)
+    monkeypatch.setattr(cl, "_table", without_unit_1)
     monkeypatch.setattr(LiteralClassical, "cause_repertoire", literal_without_unit_1)
     # Scored with a repertoire, this cut would be the minimum partition.
     cut = DisintegratingPartition.from_parts([((0,), ()), ((1,), (0,))])
@@ -781,14 +903,24 @@ def test_every_memoized_state_is_valid(unitary, rho):
         check_density_matrices(np.stack(matrices), system.tol)
 
 
+def memoized_repertoires(system):
+    """(purview, probabilities) of every memoized repertoire and nonempty purview table slice."""
+    for value in system._memo.values():
+        if isinstance(value, cl.ClassicalRepertoire):
+            yield value.purview, value.probabilities
+        if isinstance(value, cl._Table):
+            for purview, rows in purview_slices(system):
+                if not np.isnan(value.probabilities[rows]).any():
+                    yield purview, value.probabilities[rows]
+
+
 def assert_memoized_repertoires_are_distributions(system):
-    """Every ``ClassicalRepertoire`` in the memo is read-only and sums to 1, none below 0."""
-    reps = [v for v in system._memo.values() if isinstance(v, cl.ClassicalRepertoire)]
+    """Every memoized repertoire is read-only and sums to 1, none below 0."""
+    reps = list(memoized_repertoires(system))
     assert reps
-    for rep in reps:
-        probs = rep.probabilities
-        assert not probs.flags.writeable, rep.purview
-        assert abs(float(probs.sum()) - 1.0) <= 1e-9 and float(probs.min()) >= -1e-9, rep
+    for purview, probs in reps:
+        assert not probs.flags.writeable, purview
+        assert abs(float(probs.sum()) - 1.0) <= 1e-9 and float(probs.min()) >= -1e-9, purview
 
 
 @pytest.mark.parametrize("name", [n for n in example_names()
@@ -831,7 +963,7 @@ def assert_sweep_matches_fresh_systems(system):
     for state in full_states(system):
         got = cl.unfold(system, state, state)
         assert got == cl.unfold(fresh_copy(system), state, state), state
-    assert not [key for key in system._memo if key[0] in ("et", "ct")]
+    assert not [key for key in system._memo if key[0] == "parts"]
     assert_memoized_repertoires_are_distributions(system)
 
 
@@ -1084,11 +1216,11 @@ def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
     mech = cl.Mechanism((0, 1), (1, 0))
     for _ in range(200):
         values = rng.choice([0.0, 0.5, 1.0, 2.0, math.inf], size=len(shape.slots))
-        theta, value = search.mip(
+        row, value = search.mip(
             copy_xor, mech, (0, 1), (0, 1), "effect",
             lambda *args: (1.0, (0,)), lambda *args: values.copy())
         best = int(np.lexsort((values, values / shape.norms))[0])
-        assert theta == shape.partition(best, (0, 1), (0, 1)) and value == values[best]
+        assert row == best and value == values[best]
 
 
 def test_mip_rejects_nan_scores(copy_xor):
