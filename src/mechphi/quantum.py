@@ -19,14 +19,23 @@ followed by a subsystem permutation bit for bit.  Every partitioned product
 reads one table of part factors (``_part_table``); the MIP search scores all
 of a pair's partitions as one stack of products, checked like any
 ``DensityMatrix`` and scored from the one batched ``eigh`` of that check.
+
+Each (direction, mechanism) has one purview table (``_Table``).  A searched
+mechanism's is scored once (``_scores``): every purview's repertoire, qid
+against I/d and max-norm bound, from one stacked ``eigh`` per purview size.
+numpy's ``eigh`` and ``matmul`` run the same LAPACK and inner-product calls
+on each matrix of a stack as on it alone, so each stacked eigensystem and
+overlap equals its per-purview one bit for bit.  Scores are taken over Python
+floats, whose arithmetic is that of numpy's float64 scalars.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
+from itertools import groupby
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -54,6 +63,7 @@ from .tensor import (
     apply_unitary_adjoint,
     check_density_matrices,
     hermitian_eig,
+    hermitian_eigs,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -135,9 +145,7 @@ class QuantumSystem:
             raise ValidationError("quantum backend supports qubits only (all dims 2)")
         self.n_qubits = len(u.dims)
         if not 1 <= self.n_qubits <= 3:
-            raise ValidationError(
-                f"supported system sizes are 1..3 qubits, got {self.n_qubits}"
-            )
+            raise ValidationError(f"supported system sizes are 1..3 qubits, got {self.n_qubits}")
         self.unitary = u
         self.dims = u.dims
         self.tol = float(tol)
@@ -152,8 +160,7 @@ class QuantumSystem:
             raise ValidationError(f"{what} qubits {out} out of range")
         return out
 
-    def mechanism(self, qubits: Iterable[int], system_state: DensityMatrix
-                  ) -> QuantumMechanism:
+    def mechanism(self, qubits: Iterable[int], system_state: DensityMatrix) -> QuantumMechanism:
         """Mechanism over ``qubits`` in the reduced state of ``system_state``."""
         qubits = self._check_qubits(qubits, "mechanism")
         if len(system_state.dims) != self.n_qubits:
@@ -163,11 +170,7 @@ class QuantumSystem:
 
 @cache
 def _mixed_states() -> dict[int, tuple[DensityMatrix, EigenDecomposition]]:
-    """I/d and its eigensystem for every supported qubit count, built once and shared.
-
-    All are built at the first call, so only the first quantum analysis of a
-    process builds any, whatever its qubit count.
-    """
+    """I/d and its eigensystem for 1-3 qubits, all built at a process's first call and shared."""
     states = {n: DensityMatrix.maximally_mixed(n) for n in (1, 2, 3)}
     return {n: (rho, hermitian_eig(rho)) for n, rho in states.items()}
 
@@ -180,23 +183,18 @@ def _check_mechanism(sys: QuantumSystem, mechanism: QuantumMechanism) -> tuple[i
     """The state matrix is only meaningful for strictly ascending qubits."""
     qubits = sys._check_qubits(mechanism.qubits, "mechanism")
     if tuple(mechanism.qubits) != qubits:
-        raise ValidationError(
-            f"mechanism qubits must be ascending and distinct, got {mechanism.qubits}"
-        )
+        raise ValidationError("mechanism qubits must be ascending and distinct, "
+                              f"got {mechanism.qubits}")
     if mechanism.state.dim != 2 ** len(qubits):
-        raise ValidationError(
-            f"mechanism state dim {mechanism.state.dim} does not match {len(qubits)} qubits"
-        )
+        raise ValidationError(f"mechanism state dim {mechanism.state.dim} does not match "
+                              f"{len(qubits)} qubits")
     return qubits
 
 
 def _embed_with_mixed(state: DensityMatrix, qubits: Sequence[int], n: int) -> np.ndarray:
     """Place a state on ``qubits`` and maximally mixed qubits everywhere else."""
     rest = [q for q in range(n) if q not in qubits]
-    arr = state.data
-    if rest:
-        pad = np.eye(2 ** len(rest)) / 2 ** len(rest)
-        arr = np.kron(arr, pad)
+    arr = np.kron(state.data, np.eye(2 ** len(rest)) / 2 ** len(rest)) if rest else state.data
     return permute_subsystems(arr, (2,) * n, list(qubits) + rest)
 
 
@@ -242,18 +240,14 @@ def entanglement_partition(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> tupl
     """
     k = len(rho.dims)
     pure = purity(rho) >= 1.0 - tol
-    cache: dict[tuple[int, ...], bool] = {}
 
+    @cache
     def block_ok(block: tuple[int, ...]) -> bool:
         if len(block) == k:
             return True
-        if block not in cache:
-            if pure:
-                cache[block] = purity(partial_trace(rho, block)) >= 1.0 - tol
-            else:
-                pt = partial_transpose(rho, block)
-                cache[block] = float(np.min(np.linalg.eigvalsh(pt))) >= -tol
-        return cache[block]
+        if pure:
+            return purity(partial_trace(rho, block)) >= 1.0 - tol
+        return float(np.min(np.linalg.eigvalsh(partial_transpose(rho, block)))) >= -tol
 
     return next(p for p in set_partitions(k) if all(block_ok(b) for b in p))
 
@@ -268,17 +262,26 @@ def _gather(purview: Sequence[int], factors: Sequence[Optional[tuple[Sequence[in
     padding row ``len(factors)``.
     """
     k = len(purview)
-    bits = (np.arange(2 ** k)[:, np.newaxis] >> np.arange(k - 1, -1, -1)) & 1
     table = np.ones((len(factors) + 1, 2 ** k, 2 ** k), dtype=complex)
     used = np.zeros(len(factors) + 1, dtype=bool)
     for j, factor in enumerate(factors):
         if factor is None:
             continue
         qubits, rho = factor
-        sub = bits[:, [purview.index(q) for q in qubits]] @ (1 << np.arange(len(qubits))[::-1])
+        sub = _sub_index(tuple(purview), tuple(qubits))
         table[j] = rho[sub[:, np.newaxis], sub]
         used[j] = True
     return table, used
+
+
+@cache
+def _sub_index(purview: tuple[int, ...], qubits: tuple[int, ...]) -> np.ndarray:
+    """sub(a) of ``_gather`` at every purview index a, built once per (purview, qubits)."""
+    k = len(purview)
+    bits = (np.arange(2 ** k)[:, np.newaxis] >> np.arange(k - 1, -1, -1)) & 1
+    sub = bits[:, [purview.index(q) for q in qubits]] @ (1 << np.arange(len(qubits))[::-1])
+    sub.setflags(write=False)
+    return sub
 
 
 def _assemble(table: np.ndarray, used: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -295,13 +298,6 @@ def _assemble(table: np.ndarray, used: np.ndarray, slots: np.ndarray) -> np.ndar
     return out
 
 
-def _product_state(purview: Sequence[int], factors: Sequence[tuple[Sequence[int], np.ndarray]]
-                   ) -> DensityMatrix:
-    """The tensor product of states over disjoint qubit groups, in purview order."""
-    product = _assemble(*_gather(purview, factors), np.arange(len(factors))[np.newaxis])[0]
-    return _freeze(product, (2,) * len(purview))
-
-
 def _checked(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple) -> tuple[int, ...]:
     """The canonical purview, once it and a nonempty mechanism pass their checks."""
     canon = sys._check_qubits(purview, "purview")
@@ -312,6 +308,31 @@ def _checked(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple) ->
     return canon
 
 
+@dataclass
+class _Table:
+    """A (direction, mechanism)'s repertoires and, once ``_scores`` runs, its scores."""
+
+    reps: dict = field(default_factory=dict)  # purview as asked -> repertoire, None if empty
+    scores: Optional[dict] = None  # canonical purview -> (qid value, eigenstates, bound)
+
+
+def _table(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction) -> _Table:
+    key = ("pt", direction, mechanism.qubits, _state_bytes(sys, mechanism))
+    return sys._memo.get(key) or sys._memo.setdefault(key, _Table())
+
+
+def _read(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple,
+          direction: Direction) -> Optional[QuantumRepertoire]:
+    """The table's repertoire over ``purview``; on a miss built, and checked if a cause."""
+    reps = _table(sys, mechanism, direction).reps
+    if purview not in reps:
+        rep = (_effect if direction == EFFECT else _cause)(sys, mechanism, purview)
+        if direction == CAUSE and rep is not None:
+            check_density_matrices(rep.rho.data[np.newaxis], sys.tol)
+        reps[purview] = rep
+    return reps[purview]
+
+
 def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
                       purview: Iterable[int]) -> QuantumRepertoire:
     """Conditioned output, factorized across its finest separable partition.
@@ -319,27 +340,23 @@ def effect_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     Correlations between purview blocks that survive only as classical noise
     from outside the mechanism are removed by the product; entangled blocks
     pass through unchanged, so a pure conditioned output is returned as is.
-    Arguments are checked on a memo miss only.
+    A ``_table`` read; arguments are checked on a miss.
     """
-    key = (EFFECT, mechanism.qubits, _state_bytes(sys, mechanism), purview := tuple(purview))
-    if key in sys._memo:
-        return sys._memo[key]
+    return _read(sys, mechanism, tuple(purview), EFFECT)
+
+
+def _effect(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple) -> QuantumRepertoire:
     purview = _checked(sys, mechanism, purview)
     if not mechanism.qubits:
-        sys._memo[key] = rep = QuantumRepertoire(purview, _maximally_mixed(purview),
-                                                 tuple((q,) for q in purview))
-        return rep
+        return QuantumRepertoire(purview, _maximally_mixed(purview), tuple((q,) for q in purview))
     out = conditioned_output(sys, mechanism, purview, EFFECT)
     structure = entanglement_partition(out, tol=sys.tol)
     blocks = tuple(tuple(purview[i] for i in b) for b in structure)
     if len(structure) == 1:
-        rho = out
-    else:
-        factors = [(block, partial_trace(out, b).data) for block, b in zip(blocks, structure)]
-        rho = _product_state(purview, factors)
-    rep = QuantumRepertoire(purview, rho, blocks)
-    sys._memo[key] = rep
-    return rep
+        return QuantumRepertoire(purview, out, blocks)
+    factors = [(block, partial_trace(out, b).data) for block, b in zip(blocks, structure)]
+    product = _assemble(*_gather(purview, factors), np.arange(len(factors))[np.newaxis])[0]
+    return QuantumRepertoire(purview, _freeze(product, (2,) * len(purview)), blocks)
 
 
 def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
@@ -351,17 +368,18 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     None when the product has (numerically) zero trace, meaning the mechanism
     state cannot be reached from any purview state.  A non-Hermitian product
     from non-commuting blocks is symmetrized with a warning.  The blocks and
-    their reduced states are memoized per mechanism.  Arguments are checked on
-    a memo miss only.
+    their reduced states are memoized per mechanism.  A ``_table`` read;
+    on a miss the arguments are checked, and the repertoire as any
+    ``DensityMatrix`` is.
     """
-    key = (CAUSE, mechanism.qubits, _state_bytes(sys, mechanism), purview := tuple(purview))
-    if key in sys._memo:
-        return sys._memo[key]
+    return _read(sys, mechanism, tuple(purview), CAUSE)
+
+
+def _cause(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple
+           ) -> Optional[QuantumRepertoire]:
     purview = _checked(sys, mechanism, purview)
     if not mechanism.qubits:
-        sys._memo[key] = rep = QuantumRepertoire(purview, _maximally_mixed(purview), (purview,))
-        return rep
-
+        return QuantumRepertoire(purview, _maximally_mixed(purview), (purview,))
     blocks_key = ("blocks", mechanism.qubits, _state_bytes(sys, mechanism))
     blocks = sys._memo.get(blocks_key)
     if blocks is None:
@@ -373,51 +391,31 @@ def cause_repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
     product = np.eye(2 ** len(purview), dtype=complex)
     for block in blocks:
         product = product @ conditioned_output(sys, block, purview, CAUSE).data
-
     trace = complex(np.trace(product))
     if abs(trace) <= sys.tol:
-        sys._memo[key] = None
         return None
     arr = product / trace
     herm = float(np.max(np.abs(arr - arr.conj().T)))
     if herm > sys.tol:
-        warnings.warn(
-            "cause repertoire blocks do not commute; symmetrizing their product "
-            f"(residual {herm:.3e})", stacklevel=2,
-        )
+        warnings.warn("cause repertoire blocks do not commute; symmetrizing their product "
+                      f"(residual {herm:.3e})", stacklevel=2)
         arr = 0.5 * (arr + arr.conj().T)
         arr = arr / np.trace(arr).real
         lo = float(np.min(np.linalg.eigvalsh(arr)))
         if lo < -sys.tol:
-            warnings.warn(
-                f"symmetrized cause repertoire not PSD (min eigenvalue {lo:.3e}); "
-                "clamping negative eigenvalues", stacklevel=2,
-            )
+            warnings.warn(f"symmetrized cause repertoire not PSD (min eigenvalue {lo:.3e}); "
+                          "clamping negative eigenvalues", stacklevel=2)
             w, v = np.linalg.eigh(arr)
             w = np.clip(w, 0.0, None)
             arr = (v * (w / w.sum())) @ v.conj().T
-    rep = QuantumRepertoire(
-        purview,
-        DensityMatrix(arr, dims=(2,) * len(purview), tol=sys.tol),
-        (purview,),
-        mechanism_partition=tuple(b.qubits for b in blocks),
-    )
-    sys._memo[key] = rep
-    return rep
-
-
-def _repertoire(sys: QuantumSystem, mechanism: QuantumMechanism,
-                purview: Iterable[int], direction: Direction
-                ) -> Optional[QuantumRepertoire]:
-    if direction == EFFECT:
-        return effect_repertoire(sys, mechanism, purview)
-    return cause_repertoire(sys, mechanism, purview)
+    return QuantumRepertoire(purview, _freeze(arr, (2,) * len(purview)), (purview,),
+                             mechanism_partition=tuple(b.qubits for b in blocks))
 
 
 # -- information measures -------------------------------------------------
 
 
-def _eigen_score(p_i: float, overlap: np.ndarray, q: np.ndarray, tol: float) -> float:
+def _eigen_score(p_i: float, overlap: Sequence[float], q: Sequence[float], tol: float) -> float:
     """p_i (log2 p_i - sum_j overlap_j log2 q_j) for one eigenvector of rho.
 
     0 when p_i is not in rho's support; +inf when the eigenvector overlaps
@@ -435,30 +433,16 @@ def _eigen_score(p_i: float, overlap: np.ndarray, q: np.ndarray, tol: float) -> 
     return p_i * (math.log2(p_i) - cross)
 
 
-def _eigensystems(rho: DensityMatrix, sigma: DensityMatrix, tol: float,
-                  es: Optional[EigenDecomposition] = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(p, rho's eigenvectors, q, |<i|j>|^2) with eigenvalues clipped at 0.
-
-    ``es`` is sigma's eigensystem when it is already built.
-    """
-    if rho.dim != sigma.dim:
-        raise ValidationError("dimension mismatch between the two states")
-    er = hermitian_eig(rho, tol=tol)
-    es = hermitian_eig(sigma, tol=tol) if es is None else es
-    overlap = np.abs(er.eigenvectors.conj().T @ es.eigenvectors) ** 2
-    return (np.clip(er.eigenvalues, 0.0, None), er.eigenvectors,
-            np.clip(es.eigenvalues, 0.0, None), overlap)
-
-
 def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
                              tol: float = DEFAULT_TOL) -> float:
     """tr(rho log2 rho) - tr(rho log2 sigma); +inf outside sigma's support.
 
-    The sum over rho's eigenvectors of their ``qid`` pointwise scores.
+    The left-to-right sum over rho's eigenvectors of their ``qid`` pointwise scores.
     """
-    p, _, q, overlap = _eigensystems(rho, sigma, tol)
-    return float(sum(_eigen_score(p[i], overlap[i], q, tol) for i in range(len(p))))
+    total = 0.0
+    for score in _qid(hermitian_eig(rho, tol=tol), hermitian_eig(sigma, tol=tol), tol)[2]:
+        total += score
+    return total
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:
@@ -482,23 +466,56 @@ def qid(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL
     score +inf.  Coincides with the classical measure on commuting pairs and
     with the relative entropy when rho is pure.
     """
-    return _qid(_eigensystems(rho, sigma, tol), tol)
+    return _qid(hermitian_eig(rho, tol=tol), hermitian_eig(sigma, tol=tol), tol)[:2]
 
 
-def _qid(eigensystems: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tol: float
-         ) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """``qid`` from the ``_eigensystems`` of its two states."""
-    p, vectors, q, overlap = eigensystems
-    scores = np.array([_eigen_score(p[i], overlap[i], q, tol) for i in range(len(p))])
-    value = float(np.max(scores))
+def _qid(er: EigenDecomposition, es: EigenDecomposition, tol: float
+         ) -> tuple[float, list[tuple[float, np.ndarray]], list[float]]:
+    """``qid`` from the eigensystems of its two states, and every eigenvector's score."""
+    if len(er.eigenvalues) != len(es.eigenvalues):
+        raise ValidationError("dimension mismatch between the two states")
+    p, q = np.clip(er.eigenvalues, 0.0, None).tolist(), np.clip(es.eigenvalues, 0.0, None).tolist()
+    overlap = (np.abs(er.eigenvectors.conj().T @ es.eigenvectors) ** 2).tolist()
+    scores = [_eigen_score(p_i, o, q, tol) for p_i, o in zip(p, overlap)]
+    value = max(scores)
     if math.isinf(value):
-        winners = [i for i in range(len(p)) if math.isinf(scores[i])]
+        winners = [i for i, s in enumerate(scores) if math.isinf(s)]
     else:
-        winners = [i for i in range(len(p)) if scores[i] >= value - tol]
-    states = [(float(p[i]), fix_global_phase(vectors[:, i].copy())) for i in winners]
+        winners = [i for i, s in enumerate(scores) if s >= value - tol]
+    states = [(p[i], fix_global_phase(er.eigenvectors[:, i].copy())) for i in winners]
     for _, vec in states:  # memoized results are shared: keep them read-only
         vec.setflags(write=False)
-    return value, states
+    return value, states, scores
+
+
+def _scores(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction) -> dict:
+    """Per canonical purview: (qid value, eigenstates, bound), built on the first call.
+
+    The repertoires are built in ``search.all_subsets`` order, causes
+    unchecked; the nonempty ones of each size are then checked as one stack,
+    causes as ``DensityMatrix`` checks them (so the first failing one in that
+    order names the error), effects as ``hermitian_eig`` does.  Both checks
+    return ``eigh`` of 0.5 (rho + rho^dag), as ``hermitian_eig`` computes it.
+    """
+    table = _table(sys, mechanism, direction)
+    if table.scores is None:
+        purviews = search.all_subsets(sys.qubit_range())
+        reps = [table.reps[z] if z in table.reps else
+                (_effect if direction == EFFECT else _cause)(sys, mechanism, z) for z in purviews]
+        scores = {}
+        live = [(z, rep) for z, rep in zip(purviews, reps) if rep is not None]
+        for size, group in groupby(live, key=lambda pair: len(pair[0])):
+            zs, stack = zip(*((z, rep.rho.data) for z, rep in group))
+            w, v = (sort_descending(*check_density_matrices(np.stack(stack), sys.tol))
+                    if direction == CAUSE else hermitian_eigs(np.stack(stack), sys.tol))
+            es = _mixed_states()[size][1]
+            for z, w_z, v_z in zip(zs, w, v):
+                value, states, _ = _qid(EigenDecomposition(w_z, v_z), es, sys.tol)
+                scores[z] = (value, states, _phi_against(
+                    es.eigenvalues[np.newaxis], es.eigenvectors[np.newaxis], states, sys.tol)[0])
+        table.reps.update(zip(purviews, reps))
+        table.scores = scores
+    return table.scores
 
 
 def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
@@ -510,17 +527,14 @@ def intrinsic_information(sys: QuantumSystem, mechanism: QuantumMechanism,
     unitary dynamics, so the intrinsic state is the repertoire eigenvector
     with maximal eigenvalue (the full eigenspace when degenerate).  Returns
     (0, None) for an empty cause repertoire.  Supports and ties are taken at
-    ``sys.tol``.  Results are memoized per repertoire; I/d's eigensystem is
+    ``sys.tol``.  A read of the mechanism's ``_scores``; I/d's eigensystem is
     built once per process.  The repertoire functions check the arguments.
     """
-    rep = _repertoire(sys, mechanism, purview, direction)
+    scores = _scores(sys, mechanism, direction)
+    rep = (effect_repertoire if direction == EFFECT else cause_repertoire)(sys, mechanism, purview)
     if rep is None:
         return 0.0, None
-    key = ("qid", direction, mechanism.qubits, _state_bytes(sys, mechanism), rep.purview)
-    if key not in sys._memo:
-        mixed, mixed_eig = _mixed_states()[len(rep.purview)]
-        sys._memo[key] = _qid(_eigensystems(rep.rho, mixed, sys.tol, mixed_eig), sys.tol)
-    value, states = sys._memo[key]
+    value, states, _ = scores[rep.purview]
     return value, list(states)
 
 
@@ -553,7 +567,7 @@ def _part_rho(sys: QuantumSystem, part: QuantumMechanism, z_part: tuple[int, ...
     """
     if not part.qubits:
         return _maximally_mixed(z_part)
-    rep = _repertoire(sys, part, z_part, direction)
+    rep = (effect_repertoire if direction == EFFECT else cause_repertoire)(sys, part, z_part)
     return None if rep is None else rep.rho
 
 
@@ -599,18 +613,18 @@ def _part_table(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple[
 
 
 def _phi_against(w: np.ndarray, v: np.ndarray, eigenstates: Sequence[tuple[float, np.ndarray]],
-                 tol: float) -> np.ndarray:
+                 tol: float) -> list[float]:
     """Largest QID score of the intrinsic eigenstates against each state of a stack.
 
     ``w`` and ``v`` are the stack's eigenvalues and eigenvectors, each row
-    sorted descending.  Each score is floored at 0.
+    sorted descending.  Each eigenstate's overlaps are one product with the
+    whole stack, ``vec.conj() @ v``, whose row i is ``vec.conj() @ v[i]``
+    bit for bit.  Each score is floored at 0.
     """
-    q = np.clip(w, 0.0, None)
-    return np.array([
-        max([0.0, *(_eigen_score(p_i, np.abs(vec.conj() @ v[i]) ** 2, q[i], tol)
-                    for p_i, vec in eigenstates)])
-        for i in range(len(w))
-    ])
+    q = np.clip(w, 0.0, None).tolist()
+    overlaps = [(p_i, (np.abs(vec.conj() @ v) ** 2).tolist()) for p_i, vec in eigenstates]
+    return [max([0.0, *(_eigen_score(p_i, o[i], q[i], tol) for p_i, o in overlaps)])
+            for i in range(len(q))]
 
 
 def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -639,10 +653,15 @@ def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
     Ties are broken by ``search.mip``.
     """
     purview = sys._check_qubits(purview, "purview")
-    row, value = search.mip(sys, mechanism, mechanism.qubits, purview, direction,
-                            intrinsic_information, _score_partitions)
+    row, value = _mip(sys, mechanism, purview, direction)
     return (partition_shape(len(mechanism.qubits), len(purview))
             .partition(row, mechanism.qubits, purview), value)
+
+
+def _mip(sys, mechanism, purview, direction) -> tuple[int, float]:
+    """The MIP's row in the pair's ``partition_shape``, unlabeled, and its phi."""
+    return search.mip(sys, mechanism, mechanism.qubits, purview, direction,
+                      intrinsic_information, _score_partitions)
 
 
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
@@ -670,15 +689,12 @@ def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
 def _max_norm_phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple[int, ...],
                   direction: Direction, eigenstates: Sequence[tuple[float, np.ndarray]]
                   ) -> float:
-    """``phi`` of {(-, Z), (M, -)}: the bound ``search.phi_max`` reads.
+    """``phi`` of {(-, Z), (M, -)}, the bound ``search.phi_max`` reads, as ``_scores`` took it.
 
     That partition's product is I/d, entry for entry, and the stored I/d
-    eigensystem equals the one the stack check computes for it, so this
-    scores the row without building or decomposing it.
+    eigensystem equals the one the stack check computes for it.
     """
-    es = _mixed_states()[len(purview)][1]
-    return float(_phi_against(es.eigenvalues[np.newaxis], es.eigenvectors[np.newaxis],
-                              eigenstates, sys.tol)[0])
+    return _scores(sys, mechanism, direction)[purview][2]
 
 
 def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction
@@ -693,7 +709,7 @@ def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Directio
     """
     qubits = _check_mechanism(sys, mechanism)
     found = search.phi_max(sys, mechanism, qubits, sys.qubit_range(), direction,
-                           mip, intrinsic_information, phi, _max_norm_phi)
+                           _mip, intrinsic_information, phi, _max_norm_phi)
     if found is None:
         return None
     eigenvalues = tuple(p for p, _ in found.states)

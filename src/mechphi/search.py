@@ -86,7 +86,7 @@ def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
     Purviews tying within ``sys.tol`` resolve toward the larger purview, then
     the lower units; the others are recorded.  Intrinsic states tying at the
     MIP are all kept.  None when no purview has phi above ``sys.tol``.
-    ``mip`` may return its partition as a row of the pair's shape, as
+    ``mip`` returns its partition as a row of the pair's shape, as
     ``search.mip`` does; only the selected purview's is labeled.
 
     ``bound(sys, mechanism, purview, direction, states)`` is the phi of
@@ -119,9 +119,8 @@ def phi_max(sys, mechanism, m_units: Units, candidates: Sequence[int],
     tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - tol]
     tied.sort(key=lambda z: (-len(z), z))
     selected = tied[0]
-    theta, value = per_purview[selected]
-    if not isinstance(theta, DisintegratingPartition):
-        theta = partition_shape(len(m_units), len(selected)).partition(theta, m_units, selected)
+    row, value = per_purview[selected]
+    theta = partition_shape(len(m_units), len(selected)).partition(row, m_units, selected)
 
     _, states = intrinsic_information(sys, mechanism, selected, direction)
     if len(states) > 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -208,14 +209,20 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keep = _canon_subsystems(keep, rho.n_subsystems, "keep set")
     if not keep:
         raise ValidationError("partial_trace: keep set must be nonempty")
-    n, letters = rho.n_subsystems, string.ascii_lowercase
+    subscripts, kept, dk = _trace_plan(rho.dims, keep)
+    arr = np.einsum(subscripts, rho.data.reshape(rho.dims * 2)).reshape(dk, dk)
+    return _freeze(arr, kept)
+
+
+@cache
+def _trace_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[str, tuple[int, ...], int]:
+    """``partial_trace``'s einsum subscripts, kept dims and kept size, built once per input."""
+    n, letters = len(dims), string.ascii_lowercase
     row = letters[:n]
     col = "".join(letters[n + i] if i in keep else row[i] for i in range(n))
     out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    kept = [rho.dims[i] for i in keep]
-    dk = int(np.prod(kept, dtype=np.int64))
-    arr = np.einsum(row + col + "->" + out, rho.data.reshape(rho.dims * 2)).reshape(dk, dk)
-    return _freeze(arr, kept)
+    kept = tuple(dims[i] for i in keep)
+    return row + col + "->" + out, kept, int(np.prod(kept, dtype=np.int64))
 
 
 def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int] | int) -> np.ndarray:
@@ -231,17 +238,22 @@ def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int] | int) -> np
 
 def hermitian_eig(rho, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    arr = _as_matrix(rho)
-    herm = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm > tol:
-        raise NumericError(
-            f"hermitian_eig: input not Hermitian (residual {herm:.3e} > tol {tol:.1e})"
-        )
-    w, v = sort_descending(*np.linalg.eigh((0.5 * (arr + arr.conj().T))[np.newaxis]))
-    w, v = w[0], v[0]
+    w, v = (a[0] for a in hermitian_eigs(_as_matrix(rho)[np.newaxis], tol))
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(w, v)
+
+
+def hermitian_eigs(stack: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eig`` of every matrix of a stack (n, d, d), by one ``eigh``.
+
+    The first matrix that is not Hermitian within ``tol`` names the error.
+    """
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).reshape(len(stack), -1).max(axis=1)
+    if (herm > tol).any():
+        raise NumericError(f"hermitian_eig: input not Hermitian "
+                           f"(residual {herm[np.argmax(herm > tol)]:.3e} > tol {tol:.1e})")
+    return sort_descending(*np.linalg.eigh(0.5 * (stack + stack.conj().transpose(0, 2, 1))))
 
 
 def sort_descending(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,9 @@ likelihood and mechanism-averaged effect tables must equal, byte for byte,
 the per-state means and ``acc +=`` sums they replaced, and
 ``intrinsic_difference`` its first numpy form.  Every slice of a purview
 table, with its intrinsic information and bound, must equal byte for byte
-what the per-purview code built for that purview alone.
+what the per-purview code built for that purview alone; so must every entry
+of a quantum purview table, against one ``hermitian_eig``, one overlap
+product and numpy-scalar scores per purview.
 """
 
 from __future__ import annotations
@@ -877,11 +879,14 @@ def catalog_quantum_cases():
 
 
 def memo_states(value):
-    """Every state in a memo value: bare, in a repertoire or in (tuples of) mechanisms."""
+    """Every state in a memo value: bare, in a repertoire, in a table or in (tuples of) mechanisms."""
     if isinstance(value, DensityMatrix):
         yield value
     elif isinstance(value, qm.QuantumRepertoire):
         yield value.rho
+    elif isinstance(value, qm._Table):
+        for rep in value.reps.values():
+            yield from memo_states(rep)
     elif isinstance(value, tuple):
         for item in value:
             yield from memo_states(item)
@@ -1114,10 +1119,10 @@ def assert_search_matches_oracle(system, state):
     """Every selection equals the oracle's; every bound equals its row, and bounds phi_MIP."""
     for backend, mech, m_units, candidates, direction in mechanisms_of(system, state):
         where = (direction, m_units)
-        args = (system, mech, m_units, candidates, direction, backend.mip,
-                backend.intrinsic_information, backend.phi)
-        got = search.phi_max(*args, backend._max_norm_phi)
-        want = oracle_phi_max(*args)
+        args = (system, mech, m_units, candidates, direction)
+        got = search.phi_max(*args, backend._mip, backend.intrinsic_information, backend.phi,
+                             backend._max_norm_phi)
+        want = oracle_phi_max(*args, backend.mip, backend.intrinsic_information, backend.phi)
         assert (got is None) == (want is None), where
         if got is not None:
             assert same_states(got.states, want.states), where
@@ -1181,6 +1186,148 @@ def test_search_matches_every_purview_oracle_on_three_qubits(system, rho):
     assert_search_matches_oracle(system, rho)
 
 
+# -- quantum purview tables --------------------------------------------------
+
+
+def per_purview_qid(rho, tol):
+    """``intrinsic_information``'s qid as last computed, one purview at a time.
+
+    ``hermitian_eig`` of the repertoire, its overlaps with the stored I/d
+    eigensystem and the pointwise scores over numpy scalars.
+    """
+    er, es = hermitian_eig(rho, tol=tol), qm._mixed_states()[len(rho.dims)][1]
+    overlap = np.abs(er.eigenvectors.conj().T @ es.eigenvectors) ** 2
+    p, q = np.clip(er.eigenvalues, 0.0, None), np.clip(es.eigenvalues, 0.0, None)
+    scores = np.array([qm._eigen_score(p[i], overlap[i], q, tol) for i in range(len(p))])
+    value = float(np.max(scores))
+    if math.isinf(value):
+        winners = [i for i in range(len(p)) if math.isinf(scores[i])]
+    else:
+        winners = [i for i in range(len(p)) if scores[i] >= value - tol]
+    return value, [(float(p[i]), qm.fix_global_phase(er.eigenvectors[:, i].copy()))
+                   for i in winners]
+
+
+def per_row_phi_against(w, v, eigenstates, tol):
+    """``quantum._phi_against`` as last written: one overlap product per row, numpy scalars."""
+    q = np.clip(w, 0.0, None)
+    return np.array([
+        max([0.0, *(qm._eigen_score(p_i, np.abs(vec.conj() @ v[i]) ** 2, q[i], tol)
+                    for p_i, vec in eigenstates)])
+        for i in range(len(w))
+    ])
+
+
+def assert_quantum_tables_match(system, rho):
+    """Every searched mechanism's table equals its per-purview forms, byte for byte.
+
+    The repertoire, the qid value, each intrinsic eigenvalue and eigenvector,
+    and the max-norm bound of every purview.
+    """
+    for _, mech, m_units, candidates, direction in mechanisms_of(system, rho):
+        scores = qm._scores(system, mech, direction)
+        reps = qm._table(system, mech, direction).reps
+        for purview in all_subsets(candidates):
+            where = (direction, m_units, purview)
+            rep, want = reps[purview], literal(system).repertoire(mech, purview, direction)
+            assert same_bytes(rep and rep.rho.data, want and want.data), where
+            if rep is None:
+                assert purview not in scores, where
+                continue
+            value, states, bound = scores[purview]
+            want_value, want_states = per_purview_qid(rep.rho, system.tol)
+            assert float_bytes(value) == float_bytes(want_value), where
+            assert [float_bytes(p) for p, _ in states] == [float_bytes(p) for p, _ in want_states]
+            assert [v.tobytes() for _, v in states] == [v.tobytes() for _, v in want_states]
+            es = qm._mixed_states()[len(purview)][1]
+            want_bound = per_row_phi_against(es.eigenvalues[np.newaxis],
+                                             es.eigenvectors[np.newaxis], want_states, system.tol)
+            assert float_bytes(bound) == want_bound[0].tobytes(), where
+            assert qm.intrinsic_information(system, mech, purview, direction)[1] == states
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("tolerance", [cl.DEFAULT_TOL, 0.25])
+@pytest.mark.parametrize("name", [n for n in example_names()
+                                  if example_request(n)["backend"] == "quantum"])
+def test_quantum_tables_match_the_per_purview_forms_on_the_catalog(name, tolerance):
+    assert_quantum_tables_match(*catalog_case(name, tolerance))
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("system, rho", [*three_qubit_cases()])
+def test_quantum_tables_match_the_per_purview_forms_on_three_qubits(system, rho):
+    assert_quantum_tables_match(system, rho)
+
+
+@st.composite
+def haar_systems(draw):
+    """A Haar-random 1-3 qubit unitary with a random state, pure (rank 1) or mixed."""
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 2 ** n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return qm.QuantumSystem(random_unitary(rng, 2 ** n)), random_density(rng, 2 ** n, rank)
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@settings(max_examples=15, deadline=None)
+@given(haar_systems())
+def test_quantum_tables_match_the_per_purview_forms(case):
+    assert_quantum_tables_match(*case)
+
+
+@pytest.mark.parametrize("n", [1, 3, 49, 193])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_batched_overlaps_equal_the_per_row_products(d, n):
+    """``_phi_against``'s one product per eigenstate, against an eigenvector stack."""
+    rng = np.random.default_rng([d, n])
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    _, v = sort_descending(*np.linalg.eigh(g + g.conj().transpose(0, 2, 1)))
+    for vec in (v[0][:, 0], rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+        got = np.abs(vec.conj() @ v) ** 2
+        for i in range(n):
+            assert got[i].tobytes() == (np.abs(vec.conj() @ v[i]) ** 2).tobytes(), i
+
+
+@pytest.mark.parametrize("direction", ["cause", "effect"])
+def test_the_first_failing_repertoire_of_a_table_names_the_error(monkeypatch, direction):
+    """Planted in the middle of the size-1 group and in the size-2 group: the first names it.
+
+    A cause fails as the ``DensityMatrix`` check would fail it, an effect as
+    ``hermitian_eig`` would, and nothing unchecked is kept.
+    """
+    system = qm.QuantumSystem(I_CNOT)
+    mech = system.mechanism((0, 1, 2), pure(GHZ))
+    if direction == "cause":
+        bad = {(1,): np.diag([1.5, -0.5]), (0, 2): np.diag([1.25, -0.25, 0.0, 0.0])}
+        error, check = ValidationError, DensityMatrix
+    else:
+        bad = {(1,): np.array([[0.5, 0.25], [0.0, 0.5]]), (0, 2): np.eye(4) / 4 + np.triu(
+            np.full((4, 4), 0.5), 1)}
+        error, check = NumericError, hermitian_eig
+    build = qm._cause if direction == "cause" else qm._effect
+
+    def planted(sys, mechanism, purview):
+        if mechanism.qubits == (0, 1, 2) and purview in bad:
+            return qm.QuantumRepertoire(purview, qm._freeze(bad[purview].astype(complex),
+                                                            (2,) * len(purview)), (purview,))
+        return build(sys, mechanism, purview)
+
+    monkeypatch.setattr(qm, "_cause" if direction == "cause" else "_effect", planted)
+    with pytest.raises(error) as want:
+        check(bad[(1,)].astype(complex))
+    with pytest.raises(error) as got:
+        qm.intrinsic_information(system, mech, (0, 1, 2), direction)
+    assert str(got.value) == str(want.value)
+    assert qm._table(system, mech, direction).reps == {}
+    if direction == "cause":
+        with pytest.raises(error, match="not positive semidefinite"):
+            qm.cause_repertoire(system, mech, (0, 2))
+
+
 def test_stored_mixed_eigensystems_are_the_stack_check_of_i_over_d():
     """The bound scores I/d from the eigensystem the MIP stack check would compute."""
     for n, (rho, eig) in qm._mixed_states().items():
@@ -1198,7 +1345,7 @@ def test_search_skips_purviews_and_rescores_only_tied_states():
         phi_calls = []
         found = search.phi_max(
             system, mech, m_units, candidates, direction,
-            lambda *args: mip_calls.append(args) or qm.mip(*args),
+            lambda *args: mip_calls.append(args) or qm._mip(*args),
             qm.intrinsic_information,
             lambda *args: phi_calls.append(args) or qm.phi(*args),
             qm._max_norm_phi)

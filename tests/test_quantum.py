@@ -32,6 +32,7 @@ from mechphi.quantum import (
     quantum_relative_entropy,
     unfold,
 )
+from mechphi.search import all_subsets
 from mechphi.tensor import DensityMatrix, EigenDecomposition, partial_trace
 
 CLASSICAL_MIX = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex))
@@ -485,11 +486,14 @@ class TestMemo:
     def test_each_intermediate_is_built_once(self, monkeypatch, unitary, rho):
         """One 3-qubit unfold builds every purview-independent intermediate once.
 
-        Evolved states, part reductions, cause blocks and intrinsic information
-        are each stored once, keyed by one shared bytes object per mechanism
-        state; the embed and evolve steps of
-        ``conditioned_output`` run once per distinct (direction, mechanism
-        qubits, state); and only repertoires are decomposed, never I/d.
+        Evolved states, part reductions, cause blocks and purview tables are
+        each stored once, keyed by one shared bytes object per mechanism
+        state; the embed and evolve steps of ``conditioned_output`` run once
+        per distinct (direction, mechanism qubits, state).  Exactly the
+        searched mechanisms' tables are scored, each with one stacked ``eigh``
+        per purview size.  Otherwise only each MIP stack's check and the
+        check of each cause repertoire a part mechanism asks for run ``eigh``,
+        once each; ``hermitian_eig`` never runs.
         """
         sys = QuantumSystem(unitary)
         sys._memo = CountingMemo()
@@ -506,17 +510,38 @@ class TestMemo:
                 return fn(*args, **kwargs)
             return counted
 
+        scopes: list[list] = []  # [name, stacked eigh calls] of each running wrapped call
+        runs: list[tuple] = []  # (name, stacked eigh calls, args, result) of each finished one
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                steps["stacked eigh"] += 1
+                scopes[-1][1] += 1  # an IndexError here: a stacked eigh outside the scopes
+            return eigh(a, *args, **kwargs)
+
+        def scoped(name, fn):
+            def run(*args):
+                scopes.append([name, 0])
+                result = fn(*args)
+                runs.append((*scopes.pop(), args, result))
+                return result
+            return run
+
         qm._mixed_states()  # the shared I/d states, built before counting starts
         monkeypatch.setattr(qm, "conditioned_output", recording_conditioned)
         for name in ("_embed_with_mixed", "apply_unitary", "apply_unitary_adjoint",
                      "hermitian_eig"):
             monkeypatch.setattr(qm, name, counting(name, getattr(qm, name)))
+        for name in ("_scores", "_score_partitions", "_read"):
+            monkeypatch.setattr(qm, name, scoped(name, getattr(qm, name)))
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             unfold(sys, rho)
 
         kinds = Counter(key[0] for key in sys._memo.stores)
-        assert all(kinds[k] for k in ("evolved", "reduced", "blocks", "qid")), kinds
+        assert all(kinds[k] for k in ("evolved", "reduced", "blocks", "pt")), kinds
         assert max(sys._memo.stores.values()) == 1
         evolved = {key[1:] for key in sys._memo.stores if key[0] == "evolved"}
         assert evolved == mechanisms
@@ -525,7 +550,31 @@ class TestMemo:
         assert steps["apply_unitary_adjoint"] == causes
         # unfold evolves the system state once to get the cause mechanisms
         assert steps["apply_unitary"] == len(mechanisms) - causes + 1
-        assert steps["hermitian_eig"] == kinds["qid"]
+        assert steps["hermitian_eig"] == 0
+        searched = set()
+        for direction in ("effect", "cause"):
+            base = rho if direction == "effect" else qm.apply_unitary(sys.unitary, rho)
+            for qubits in all_subsets(sys.qubit_range()):
+                searched.add((direction, qubits, sys.mechanism(qubits, base).state.data.tobytes()))
+        scored = {key[1:] for key, value in sys._memo.items()
+                  if isinstance(value, qm._Table) and value.scores is not None}
+        assert scored == searched
+        built, checked = set(), Counter()
+        for name, calls, args, result in runs:
+            mech = args[1]
+            if name == "_scores":
+                table = (args[2], mech.qubits, mech.state.data.tobytes())
+                # the first read builds the table: one stacked eigh per purview size
+                assert calls == (0 if table in built else len({len(z) for z in result}))
+                built.add(table)
+            elif name == "_read":  # a miss checks a nonempty cause repertoire alone
+                assert calls <= (args[3] == "cause" and result is not None)
+                checked[args[3], mech.qubits, mech.state.data.tobytes(), args[2]] += calls
+        assert built == scored
+        assert max(checked.values()) <= 1
+        stacks = [calls for name, calls, *_ in runs if name == "_score_partitions"]
+        assert stacks and max(stacks) == 1
+        assert steps["stacked eigh"] == sum(calls for _, calls, *_ in runs)
         if np.linalg.matrix_rank(rho.data) > 1:  # the PPT and symmetrization paths ran
             assert any("do not commute" in str(w.message) for w in caught)
         # Every key shares one bytes object per distinct mechanism state.
