@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     DisintegratingPartition,
     enumerate_disintegrating,
     part_masks,
-    partition_shape,
 )
 from .search import CAUSE, EFFECT, Direction
 from .tensor import DEFAULT_TOL
@@ -361,6 +361,8 @@ def _table(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction) -> 
     table = sys._memo.get(key)
     if table is None:
         units = search.requested_subsets([mechanism.units], sys._check_units)[0]
+        if units != tuple(mechanism.units):
+            raise ValidationError(f"mechanism units must be ascending, got {mechanism.units}")
         sys._check_state(mechanism)
         layout = _layout(sys)
         if direction == EFFECT:
@@ -518,9 +520,8 @@ def _part_tables(sys: ClassicalSystem, mechanism: Mechanism, direction: Directio
     key = ("parts", mechanism, direction)
     tables = sys._memo.get(key)
     if tables is None:
-        units = sorted(mechanism.units)
-        subs = [mechanism.restrict(u for i, u in enumerate(units) if mask >> i & 1)
-                for mask in range(1 << len(units))]
+        subs = [mechanism.restrict(u for i, u in enumerate(mechanism.units) if mask >> i & 1)
+                for mask in range(1 << len(mechanism.units))]
         tables = np.ones((len(subs), len(_layout(sys).row_of)))
         tables[:, :-1] = [_table(sys, sub, direction).probabilities for sub in subs]
         sys._memo[key] = tables
@@ -568,11 +569,17 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     purview, _ = _purview_index(sys, tuple(purview))
     n = math.prod(sys.unit_state_counts[u] for u in purview)
     factors, missing = _factor_table(sys, mechanism, purview, direction,
-                                     *part_masks(theta.parts, sorted(mechanism.units), purview),
+                                     *part_masks(theta.parts, mechanism.units, purview),
                                      np.arange(n))
     if missing.any():
         return None
     return ClassicalRepertoire(purview, _products(factors, np.arange(theta.k)[np.newaxis])[0])
+
+
+def _backend() -> search.Backend:
+    """This module as the search reads it, built per call: a replaced attribute is seen."""
+    return search.Backend(attrgetter("units"), intrinsic_information, _score_partitions,
+                          _max_norm_phi)
 
 
 def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -584,17 +591,8 @@ def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     when the partitioned repertoire has no support on an intrinsic state, and
     0 when the mechanism specifies nothing (empty cause repertoire).
     """
-    return _phi(sys, mechanism, sys._check_units(purview, "purview"), theta, direction, states)
-
-
-def _phi(sys, mechanism, purview, theta, direction, states=None) -> float:
-    if _repertoire(sys, mechanism, purview, direction) is None:
-        return 0.0
-    if states is None:
-        _, states = intrinsic_information(sys, mechanism, purview, direction)
-    return float(_score_partitions(sys, mechanism, purview, direction, states,
-                                   np.arange(theta.k)[np.newaxis],
-                                   *part_masks(theta.parts, sorted(mechanism.units), purview))[0])
+    return search.phi(_backend(), sys, mechanism, sys._check_units(purview, "purview"), theta,
+                      direction, states)
 
 
 def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -604,16 +602,8 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
     The returned value is the unnormalized phi at the minimizing partition;
     ties are broken by ``search.mip``.
     """
-    purview = sys._check_units(purview, "purview")
-    row, value = _mip(sys, mechanism, purview, direction)
-    m_units = tuple(sorted(mechanism.units))
-    return partition_shape(len(m_units), len(purview)).partition(row, m_units, purview), value
-
-
-def _mip(sys, mechanism, purview, direction) -> tuple[int, float]:
-    """The MIP's row in the pair's ``partition_shape``, unlabeled, and its phi."""
-    return search.mip(sys, mechanism, tuple(sorted(mechanism.units)), purview, direction,
-                      intrinsic_information, _score_partitions)
+    return search.labeled_mip(_backend(), sys, mechanism, sys._check_units(purview, "purview"),
+                              direction)
 
 
 def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
@@ -664,10 +654,7 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
     key = ("pm", mechanism, direction)
     if key not in sys._memo:
         _table(sys, mechanism, direction)
-        # The search passes only sorted subsets of the checked candidate
-        # units, so ``_mip`` and ``_phi`` take them unchecked.
-        found = search.phi_max(sys, mechanism, mechanism.units, sys.candidate_units, direction,
-                               _mip, intrinsic_information, _phi, _max_norm_phi)
+        found = search.phi_max(_backend(), sys, mechanism, sys.candidate_units, direction)
         distinction = None
         if found is not None:
             z_states = sys.subset_states(found.purview)
@@ -691,11 +678,6 @@ def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,
     Effects are evaluated for mechanisms drawn from ``state_t``, causes for
     mechanisms drawn from ``state_t1``; subsets with phi = 0 are omitted.
     """
-    subsets = (
-        search.requested_subsets(mechanisms, sys._check_units)
-        if mechanisms is not None else search.all_subsets(sys.candidate_units)
-    )
-
     def mechanisms_in(direction: Direction):
         base = state_t if direction == EFFECT else state_t1
         if base is None:
@@ -704,8 +686,8 @@ def unfold(sys: ClassicalSystem, state_t: Optional[Sequence[int]] = None,
         base = _check_full_state(sys, base)
         return lambda units: Mechanism(units, sys.state_of(base, units))
 
-    return search.unfold(directions, subsets, mechanisms_in,
-                         lambda mech, direction: phi_max(sys, mech, direction))
+    return search.unfold(directions, mechanisms, sys._check_units, sys.candidate_units,
+                         mechanisms_in, lambda mech, direction: phi_max(sys, mech, direction))
 
 
 def _check_full_state(sys: ClassicalSystem, state: Sequence[int]) -> tuple[int, ...]:

@@ -36,6 +36,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ from .partitions import (  # noqa: F401  enumerate_disintegrating is re-exported
     Units,
     enumerate_disintegrating,
     part_masks,
-    partition_shape,
     relabel,
     set_partitions,
 )
@@ -627,6 +627,12 @@ def _phi_against(w: np.ndarray, v: np.ndarray, eigenstates: Sequence[tuple[float
             for i in range(len(q))]
 
 
+def _backend() -> search.Backend:
+    """This module as the search reads it, built per call: a replaced attribute is seen."""
+    return search.Backend(attrgetter("qubits"), intrinsic_information, _score_partitions,
+                          _max_norm_phi)
+
+
 def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
         theta: DisintegratingPartition, direction: Direction,
         eigenstates: Optional[Sequence[tuple[float, np.ndarray]]] = None) -> float:
@@ -635,15 +641,11 @@ def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
     With a degenerate intrinsic eigenspace the score is evaluated per basis
     vector and the maximum kept.  +inf when the partitioned repertoire lacks
     support on the intrinsic state (or a part's cause repertoire is empty).
+    0 when the mechanism specifies nothing (empty cause repertoire), even
+    with ``eigenstates`` given, as in the classical backend.
     """
-    purview = sys._check_qubits(purview, "purview")
-    if eigenstates is None:
-        _, eigenstates = intrinsic_information(sys, mechanism, purview, direction)
-    if eigenstates is None:
-        return 0.0
-    return float(_score_partitions(sys, mechanism, purview, direction, eigenstates,
-                                   np.arange(theta.k)[np.newaxis],
-                                   *part_masks(theta.parts, mechanism.qubits, purview))[0])
+    return search.phi(_backend(), sys, mechanism, sys._check_qubits(purview, "purview"), theta,
+                      direction, eigenstates)
 
 
 def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -652,16 +654,8 @@ def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
 
     Ties are broken by ``search.mip``.
     """
-    purview = sys._check_qubits(purview, "purview")
-    row, value = _mip(sys, mechanism, purview, direction)
-    return (partition_shape(len(mechanism.qubits), len(purview))
-            .partition(row, mechanism.qubits, purview), value)
-
-
-def _mip(sys, mechanism, purview, direction) -> tuple[int, float]:
-    """The MIP's row in the pair's ``partition_shape``, unlabeled, and its phi."""
-    return search.mip(sys, mechanism, mechanism.qubits, purview, direction,
-                      intrinsic_information, _score_partitions)
+    return search.labeled_mip(_backend(), sys, mechanism, sys._check_qubits(purview, "purview"),
+                              direction)
 
 
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
@@ -708,8 +702,7 @@ def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Directio
     whatever the system's tolerance.
     """
     qubits = _check_mechanism(sys, mechanism)
-    found = search.phi_max(sys, mechanism, qubits, sys.qubit_range(), direction,
-                           _mip, intrinsic_information, phi, _max_norm_phi)
+    found = search.phi_max(_backend(), sys, mechanism, sys.qubit_range(), direction)
     if found is None:
         return None
     eigenvalues = tuple(p for p, _ in found.states)
@@ -736,17 +729,13 @@ def unfold(sys: QuantumSystem, rho_t: DensityMatrix,
     """
     if len(rho_t.dims) != sys.n_qubits or any(d != 2 for d in rho_t.dims):
         raise ValidationError("system state does not match the qubit count")
-    subsets = (
-        search.requested_subsets(mechanisms, sys._check_qubits)
-        if mechanisms is not None else search.all_subsets(sys.qubit_range())
-    )
 
     def mechanisms_in(direction: Direction):
         base = rho_t if direction == EFFECT else apply_unitary(sys.unitary, rho_t)
         return lambda qubits: sys.mechanism(qubits, base)
 
-    return search.unfold(directions, subsets, mechanisms_in,
-                         lambda mech, direction: phi_max(sys, mech, direction))
+    return search.unfold(directions, mechanisms, sys._check_qubits, sys.qubit_range(),
+                         mechanisms_in, lambda mech, direction: phi_max(sys, mech, direction))
 
 
 def identity_structure(state: DensityMatrix, tol: float = DEFAULT_TOL

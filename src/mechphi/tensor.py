@@ -186,14 +186,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; subsystem dims compose multiplicatively."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
 
 def _canon_subsystems(subsystems: Iterable[int] | int, n: int, what: str) -> tuple[int, ...]:
     if isinstance(subsystems, (int, np.integer)):

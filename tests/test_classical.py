@@ -274,6 +274,15 @@ class TestPhiAndMip:
             with pytest.raises(ValidationError, match="mechanism units must be distinct"):
                 intrinsic_information(copy_xor, Mechanism((0, 0), (1, 1)), (0,), direction)
 
+    def test_unordered_mechanism_units_are_rejected(self, copy_xor):
+        """A MIP would be scored over sorted units but labeled over the units as given."""
+        unordered = Mechanism((1, 0), (0, 1))
+        for direction in ("effect", "cause"):
+            with pytest.raises(ValidationError, match="ascending"):
+                phi_max(copy_xor, unordered, direction)
+            with pytest.raises(ValidationError, match="ascending"):
+                mip(copy_xor, unordered, (0, 1), direction)
+
 
 class TestPhiMax:
     def test_copy_mechanism_selects_its_output(self, copy_xor):

@@ -38,6 +38,7 @@ import dataclasses
 import math
 import warnings
 import weakref
+from collections import Counter
 from functools import reduce
 from itertools import product
 from types import SimpleNamespace
@@ -48,8 +49,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    CNOT, GHZ, S2, W, ket, pure, random_ci_tpm, random_density, random_permutation_tpm,
-    random_unitary,
+    CNOT, COPY_XOR_TPM, GHZ, S2, W, ket, pure, random_ci_tpm, random_density,
+    random_permutation_tpm, random_unitary,
 )
 from mechphi import classical as cl
 from mechphi import quantum as qm
@@ -1028,6 +1029,52 @@ def test_quantum_empty_part_repertoire_scores_infinite(monkeypatch):
     assert_every_quantum_pair_matches(CNOT, rho)
 
 
+def test_phi_is_zero_without_intrinsic_states_even_with_states_given(monkeypatch):
+    """Both backends: an empty cause repertoire specifies nothing, whatever states are passed."""
+    # Every source state goes to (0, 0): unit 0 in state 1 has no cause.
+    unreachable = cl.ClassicalSystem([2, 2], np.eye(4)[[0, 0, 0, 0]])
+    mech = cl.Mechanism((0,), (1,))
+    cut = DisintegratingPartition.from_parts([((), (0,)), ((0,), ())])
+    assert cl.intrinsic_information(unreachable, mech, (0,), "cause") == (0.0, None)
+    assert cl.phi(unreachable, mech, (0,), cut, "cause") == 0.0
+    assert cl.phi(unreachable, mech, (0,), cut, "cause", [0]) == 0.0
+
+    system = qm.QuantumSystem(CNOT)
+    mech = system.mechanism((0, 1), qm.apply_unitary(system.unitary, pure([0, 0, 1, 0])))
+    cut = DisintegratingPartition.from_parts([((), (1,)), ((0,), (0,)), ((1,), ())])
+    _, eigenstates = qm.intrinsic_information(system, mech, (0, 1), "cause")
+    assert qm.phi(system, mech, (0, 1), cut, "cause", eigenstates) == 1.0
+    cause_repertoire = qm.cause_repertoire
+
+    def empty_for_the_whole_mechanism(sys, mechanism, purview):
+        if mechanism.qubits == (0, 1):
+            return None
+        return cause_repertoire(sys, mechanism, purview)
+
+    monkeypatch.setattr(qm, "cause_repertoire", empty_for_the_whole_mechanism)
+    assert qm.intrinsic_information(system, mech, (0, 1), "cause") == (0.0, None)
+    assert qm.phi(system, mech, (0, 1), cut, "cause") == 0.0
+    assert qm.phi(system, mech, (0, 1), cut, "cause", eigenstates) == 0.0
+
+
+@pytest.mark.parametrize("backend", [cl, qm], ids=["classical", "quantum"])
+def test_search_reads_replaced_backend_attributes(backend, monkeypatch):
+    """``phi_max`` calls the module attributes as they are at call time, not at import."""
+    if backend is cl:
+        system, mech = cl.ClassicalSystem([2, 2], COPY_XOR_TPM), cl.Mechanism((0,), (1,))
+    else:
+        system = qm.QuantumSystem(CNOT)
+        mech = system.mechanism((0, 1), pure([0, 0, 1, 0]))
+    calls = Counter()
+    for name in ("intrinsic_information", "_score_partitions", "_max_norm_phi"):
+        def counted(*args, name=name, original=getattr(backend, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(backend, name, counted)
+    assert backend.phi_max(system, mech, "effect") is not None
+    assert set(calls) == {"intrinsic_information", "_score_partitions", "_max_norm_phi"}
+
+
 @pytest.mark.parametrize("part, message", [
     pytest.param(lambda dim: np.eye(dim) / dim + 0.1 * np.triu(np.ones((dim, dim)), 1),
                  "not Hermitian", id="unit-trace-not-hermitian"),
@@ -1120,8 +1167,7 @@ def assert_search_matches_oracle(system, state):
     for backend, mech, m_units, candidates, direction in mechanisms_of(system, state):
         where = (direction, m_units)
         args = (system, mech, m_units, candidates, direction)
-        got = search.phi_max(*args, backend._mip, backend.intrinsic_information, backend.phi,
-                             backend._max_norm_phi)
+        got = search.phi_max(backend._backend(), system, mech, candidates, direction)
         want = oracle_phi_max(*args, backend.mip, backend.intrinsic_information, backend.phi)
         assert (got is None) == (want is None), where
         if got is not None:
@@ -1336,19 +1382,17 @@ def test_stored_mixed_eigensystems_are_the_stack_check_of_i_over_d():
         assert eig.eigenvectors.tobytes() == v[0].tobytes()
 
 
-def test_search_skips_purviews_and_rescores_only_tied_states():
+def test_search_skips_purviews_and_rescores_only_tied_states(monkeypatch):
     """Fewer MIPs than purviews; ``phi`` re-scores only a selection with several states."""
     request = parse_request(example_request("ghz-identity"))
     system = request.system
-    mip_calls, purviews = [], 0
+    mip_calls, phi_calls, purviews = [], [], 0
+    search_mip, search_phi = search.mip, search.phi
+    monkeypatch.setattr(search, "mip", lambda *args: mip_calls.append(args) or search_mip(*args))
+    monkeypatch.setattr(search, "phi", lambda *args: phi_calls.append(args) or search_phi(*args))
     for backend, mech, m_units, candidates, direction in mechanisms_of(system, request.rho_t):
-        phi_calls = []
-        found = search.phi_max(
-            system, mech, m_units, candidates, direction,
-            lambda *args: mip_calls.append(args) or qm._mip(*args),
-            qm.intrinsic_information,
-            lambda *args: phi_calls.append(args) or qm.phi(*args),
-            qm._max_norm_phi)
+        phi_calls.clear()
+        found = search.phi_max(qm._backend(), system, mech, candidates, direction)
         purviews += len(all_subsets(candidates))
         if found is not None:
             _, states = qm.intrinsic_information(system, mech, found.purview, direction)
@@ -1363,9 +1407,9 @@ def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
     mech = cl.Mechanism((0, 1), (1, 0))
     for _ in range(200):
         values = rng.choice([0.0, 0.5, 1.0, 2.0, math.inf], size=len(shape.slots))
-        row, value = search.mip(
-            copy_xor, mech, (0, 1), (0, 1), "effect",
-            lambda *args: (1.0, (0,)), lambda *args: values.copy())
+        backend = search.Backend(lambda m: m.units, lambda *args: (1.0, (0,)),
+                                 lambda *args: values.copy(), None)
+        row, value = search.mip(backend, copy_xor, mech, (0, 1), "effect")
         best = int(np.lexsort((values, values / shape.norms))[0])
         assert row == best and value == values[best]
 
@@ -1373,5 +1417,6 @@ def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
 def test_mip_rejects_nan_scores(copy_xor):
     mech = cl.Mechanism((0, 1), (1, 0))
     with pytest.raises(NumericError, match="NaN"):
-        search.mip(copy_xor, mech, (0, 1), (0,), "effect",
-                   lambda *args: (1.0, (0,)), lambda *args: np.array([0.5, math.nan, 1.0]))
+        search.mip(search.Backend(lambda m: m.units, lambda *args: (1.0, (0,)),
+                                  lambda *args: np.array([0.5, math.nan, 1.0]), None),
+                   copy_xor, mech, (0,), "effect")
