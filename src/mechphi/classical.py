@@ -10,7 +10,8 @@ for every mechanism subset of a state unfolds the distinction structure.
 Each mechanism's purview table holds, built in one pass, its repertoire
 over every candidate purview's states, one row each, with each purview's
 intrinsic information and search bound; a slice equals, bit for bit, the
-repertoire built for its purview alone.  MIP scoring reads sub-mechanisms'.
+repertoire built for its purview alone.  MIP scoring reads sub-mechanisms',
+for all the purviews of a search round at once.
 
 Probabilities over a unit subset are indexed big-endian in ascending unit
 order (lowest unit index = most significant digit).  All scores are in ibits
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import accumulate, product
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -106,7 +107,8 @@ class ClassicalSystem:
     ``_memo`` keeps what analyses compute, keyed by mechanism state and unit
     sets: the purview layout, marginals and effect baselines per unit set,
     likelihoods per (unit, value), purview tables, part tables and
-    selections per (mechanism, direction), and named repertoires.  Part
+    selections per (mechanism, direction), named repertoires, and part-row
+    indexes per (|M|, |Z|) (1.5 MB at 5 binary units, 16 MB at 6).  Part
     tables stay until the selection is stored; the rest is bounded by the
     state space and lives as long as the system.  Entries are written once;
     a search whose part tables another thread drops keeps its own, so
@@ -354,8 +356,9 @@ def _table(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction) -> 
     divide each purview by its own pairwise ``sum()`` (empty unless above 0)
     and score against uniform, by ``intrinsic_difference``'s rule.  The
     bound scores {(-, Z), (M, -)}, whose factor row is the empty mechanism's
-    repertoire, by ``_score``'s rules: for an effect the fully marginalized
-    one at the states; for a cause the uniform one that scored v, so max(0, v).
+    repertoire, by ``_score_partitions``' rules: for an effect the fully
+    marginalized one at the states; for a cause the uniform one that scored
+    v, so max(0, v).
     """
     key = ("pt", mechanism, direction)
     table = sys._memo.get(key)
@@ -448,11 +451,6 @@ def unconstrained_cause(sys: ClassicalSystem, purview: Iterable[int]) -> Classic
     return _memoized(sys, key, purview, lambda: _layout(sys).uniform)
 
 
-def _repertoire(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                direction: Direction) -> Optional[ClassicalRepertoire]:
-    return (effect_repertoire if direction == EFFECT else cause_repertoire)(sys, mechanism, purview)
-
-
 # -- information measures -------------------------------------------------
 
 
@@ -528,26 +526,46 @@ def _part_tables(sys: ClassicalSystem, mechanism: Mechanism, direction: Directio
     return tables
 
 
-def _factor_table(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                  direction: Direction, part_m: np.ndarray, part_z: np.ndarray,
-                  states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each part's repertoire read at the purview ``states``, one row per part.
+def _part_rows(sys: ClassicalSystem, m_size: int, z_size: int) -> tuple[np.ndarray, int]:
+    """[part code, row]: every part's flat ``_part_tables`` index at the size-|Z| rows, memoized.
 
-    ``part_m`` and ``part_z`` are position masks, as in ``PartitionShape``.
-    A part reads its mechanism bitmask's ``_part_tables`` row at the layout
-    rows with the states' values on its purview and pads elsewhere, so one
-    without a purview, like the padding row, holds 1.0.  Also returns which
-    rows have an empty cause repertoire (NaN).
+    Part (m, z) of position masks, code (m << |Z|) | z, reads sub-mechanism
+    m's row with a row's values on the units z selects, pads elsewhere; the
+    last code, padding, reads row R (1.0).  With the first size-|Z| row.
     """
-    layout, tables = _layout(sys), _part_tables(sys, mechanism, direction)
-    pads = np.array([sys.unit_state_counts[u] for u in purview])
-    strides, top = layout.strides[list(purview)], len(layout.row_of) - 1
-    shift = (np.array(np.unravel_index(states, pads)) - pads[:, None]) * strides[:, None]
-    masks = part_m @ (1 << np.arange(part_m.shape[1]))
-    factors = np.ones((len(masks) + 1, len(states)))
-    factors[:-1] = tables[masks[:, None], layout.row_of[top + part_z @ shift]]
-    first = layout.row_of[top - part_z @ (pads * strides)]  # each part's first row
-    return factors, np.append(np.isnan(tables[masks, first]), False)
+    key = ("pr", m_size, z_size)
+    if key not in sys._memo:
+        layout = _layout(sys)
+        spans = [rows for z, rows in zip(layout.index, layout.spans) if len(z) == z_size]
+        first, stop = spans[0].start, spans[-1].stop
+        units, digits = list(sys.candidate_units), layout.digits[:, first:stop]
+        pads = np.array([sys.unit_state_counts[u] for u in units])[:, np.newaxis]
+        inside, top = digits < pads, len(layout.row_of) - 1
+        position = np.maximum(np.cumsum(inside, axis=0) - 1, 0)  # within the row's purview
+        keep = (np.arange(1 << z_size)[:, np.newaxis, np.newaxis] >> position) & inside
+        shift = (digits - pads) * layout.strides[units][:, np.newaxis]  # 0 outside the purview
+        rows = layout.row_of[top + (keep * shift).sum(axis=1)]  # [z, row]
+        masks = np.arange(1 << m_size)[:, np.newaxis, np.newaxis] * (top + 1)
+        sys._memo[key] = (np.vstack([(masks + rows).reshape(-1, stop - first),
+                                     np.full(stop - first, top)]), first)
+    return sys._memo[key]
+
+
+def _factors(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction,
+             part_m: np.ndarray, part_z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[part + pad, row]: each position-mask part's repertoire (NaN if empty) at ``rows``."""
+    index, first = _part_rows(sys, part_m.shape[1], part_z.shape[1])
+    codes = _codes(part_m.tobytes(), part_z.tobytes(), part_m.shape[1], part_z.shape[1])
+    return _part_tables(sys, mechanism, direction).ravel()[index[codes[:, np.newaxis],
+                                                                 rows - first]]
+
+
+@lru_cache(maxsize=1024)
+def _codes(part_m: bytes, part_z: bytes, m_size: int, z_size: int) -> np.ndarray:
+    """The ``_part_rows`` code of each part, then the padding part's, by the masks' bytes."""
+    masks = np.hstack([np.frombuffer(part_z, bool).reshape(-1, z_size),
+                       np.frombuffer(part_m, bool).reshape(-1, m_size)])
+    return np.append(masks @ (1 << np.arange(z_size + m_size)), 1 << (m_size + z_size))
 
 
 def _products(factors: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -566,20 +584,19 @@ def partitioned_repertoire(sys: ClassicalSystem, mechanism: Mechanism,
     A part with an empty purview contributes a scalar 1.  Returns None if a
     part's cause repertoire is empty.  The sub-mechanisms' tables check.
     """
-    purview, _ = _purview_index(sys, tuple(purview))
-    n = math.prod(sys.unit_state_counts[u] for u in purview)
-    factors, missing = _factor_table(sys, mechanism, purview, direction,
-                                     *part_masks(theta.parts, mechanism.units, purview),
-                                     np.arange(n))
-    if missing.any():
+    purview, i = _purview_index(sys, tuple(purview))
+    rows = _layout(sys).spans[i]
+    factors = _factors(sys, mechanism, direction,
+                       *part_masks(theta.parts, mechanism.units, purview),
+                       np.arange(rows.start, rows.stop))
+    if np.isnan(factors).any():
         return None
     return ClassicalRepertoire(purview, _products(factors, np.arange(theta.k)[np.newaxis])[0])
 
 
 def _backend() -> search.Backend:
     """This module as the search reads it, built per call: a replaced attribute is seen."""
-    return search.Backend(attrgetter("units"), intrinsic_information, _score_partitions,
-                          _max_norm_phi)
+    return search.Backend(attrgetter("units"), intrinsic_information, _score_partitions, _bounds)
 
 
 def phi(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
@@ -606,40 +623,43 @@ def mip(sys: ClassicalSystem, mechanism: Mechanism, purview: Iterable[int],
                               direction)
 
 
-def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                      direction: Direction, states: Sequence[int], slots: np.ndarray,
-                      part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
-    """``phi`` of every partition ``slots`` lists, in one pass.
+def _score_partitions(sys: ClassicalSystem, mechanism: Mechanism,
+                      purviews: Sequence[tuple[int, ...]], direction: Direction,
+                      states: Sequence[Sequence[int]], slots: np.ndarray, part_m: np.ndarray,
+                      part_z: np.ndarray) -> np.ndarray:
+    """[purview, partition]: ``phi`` of every partition ``slots`` lists, for purviews of one size.
 
-    Each row's partitioned repertoire is read only at the intrinsic states
-    in p's support, from the factor table ``partitioned_repertoire`` also
-    uses, so the two agree bit for bit.  Each value is ``_score``'s; +inf
-    where a part's cause repertoire is empty.
+    One ``_factors`` gather at each purview's intrinsic states in p's support,
+    one ``_products`` and one ``math.log2`` pass (numpy's log2 can differ from
+    libm's in the last bit) give max p * log2(p / q) per purview, floored at
+    0, +inf where q has no support, as NaN (an empty part) has none.
     """
-    p = _repertoire(sys, mechanism, purview, direction).probabilities
-    live = np.array([s for s in states if p[s] > sys.tol], dtype=np.intp)
-    factors, missing = _factor_table(sys, mechanism, purview, direction, part_m, part_z, live)
-    values = _score(p[live], _products(factors, slots), sys.tol)
-    if missing.any():
-        values[missing[slots].any(axis=1)] = math.inf
+    layout, tol = _layout(sys), sys.tol
+    p = _table(sys, mechanism, direction).probabilities
+    starts = [layout.spans[layout.index[z]].start for z in purviews]
+    columns = [[a + s for s in z_states if p[a + s] > tol] for a, z_states in zip(starts, states)]
+    rows = np.array([row for z_rows in columns for row in z_rows], dtype=np.intp)
+    q, pr = _products(_factors(sys, mechanism, direction, part_m, part_z, rows), slots), p[rows]
+    supported = q > tol
+    ratio = np.divide(pr, q, out=np.ones_like(q), where=supported)
+    logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), float, ratio.size)
+    scores = np.where(supported, pr * logs.reshape(ratio.shape), math.inf)
+    firsts = [0, *accumulate(map(len, columns))]  # each purview's first column
+    live = [j for j, z_rows in enumerate(columns) if z_rows]
+    maxima = np.maximum(0.0, np.maximum.reduceat(scores, [firsts[j] for j in live], axis=1).T)
+    if len(live) == len(purviews):
+        return maxima
+    values = np.zeros((len(purviews), len(slots)))  # 0 without a state in p's support
+    values[live] = maxima
+    empty = np.isnan(_factors(sys, mechanism, direction, part_m, part_z, np.array(starts)))
+    values[empty[slots].any(axis=1).T] = math.inf
     return values
 
 
-def _score(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """Per row of ``q``: the largest p * log2(p / q), floored at 0; +inf where q has no support."""
-    supported = q > tol
-    ratio = np.divide(p, q, out=np.ones_like(q), where=supported)
-    # math.log2 rather than np.log2: numpy's SIMD log2 can differ from libm in
-    # the last bit, and ``intrinsic_difference`` scores with math.log2.
-    logs = np.fromiter(map(math.log2, ratio.ravel().tolist()), float, ratio.size)
-    scores = np.where(supported, p * logs.reshape(ratio.shape), math.inf)
-    return scores.max(axis=1, initial=0.0)
-
-
-def _max_norm_phi(sys: ClassicalSystem, mechanism: Mechanism, purview: tuple[int, ...],
-                  direction: Direction, states: Sequence[int]) -> float:
-    """``phi`` of {(-, Z), (M, -)} at the intrinsic ``states``, as ``_table`` scored it."""
-    return _table(sys, mechanism, direction).bounds[_purview_index(sys, purview)[1]]
+def _bounds(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction) -> list:
+    """Every candidate purview's (bound, purview, intrinsic states), as ``_table`` scored them."""
+    table = _table(sys, mechanism, direction)
+    return [(b, z, states) for b, z, (_, states) in zip(table.bounds, _layout(sys).index, table.ii)]
 
 
 def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
@@ -653,8 +673,7 @@ def phi_max(sys: ClassicalSystem, mechanism: Mechanism, direction: Direction
     """
     key = ("pm", mechanism, direction)
     if key not in sys._memo:
-        _table(sys, mechanism, direction)
-        found = search.phi_max(_backend(), sys, mechanism, sys.candidate_units, direction)
+        found = search.phi_max(_backend(), sys, mechanism, direction)
         distinction = None
         if found is not None:
             z_states = sys.subset_states(found.purview)

@@ -17,7 +17,7 @@ Tensor products of repertoires are formed by reading each factor into the
 purview's basis layout and multiplying entrywise, which equals ``np.kron``
 followed by a subsystem permutation bit for bit.  Every partitioned product
 reads one table of part factors (``_part_table``); the MIP search scores all
-of a pair's partitions as one stack of products, checked like any
+partitions of a round's purviews as one stack of products, checked like any
 ``DensityMatrix`` and scored from the one batched ``eigh`` of that check.
 
 Each (direction, mechanism) has one purview table (``_Table``).  A searched
@@ -629,8 +629,7 @@ def _phi_against(w: np.ndarray, v: np.ndarray, eigenstates: Sequence[tuple[float
 
 def _backend() -> search.Backend:
     """This module as the search reads it, built per call: a replaced attribute is seen."""
-    return search.Backend(attrgetter("qubits"), intrinsic_information, _score_partitions,
-                          _max_norm_phi)
+    return search.Backend(attrgetter("qubits"), intrinsic_information, _score_partitions, _bounds)
 
 
 def phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
@@ -659,36 +658,37 @@ def mip(sys: QuantumSystem, mechanism: QuantumMechanism, purview: Iterable[int],
 
 
 def _score_partitions(sys: QuantumSystem, mechanism: QuantumMechanism,
-                      purview: tuple[int, ...], direction: Direction,
-                      eigenstates: Sequence[tuple[float, np.ndarray]], slots: np.ndarray,
-                      part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
-    """``phi`` of every partition ``slots`` lists (see ``search.mip``).
+                      purviews: Sequence[tuple[int, ...]], direction: Direction,
+                      eigenstates: Sequence[Sequence[tuple[float, np.ndarray]]],
+                      slots: np.ndarray, part_m: np.ndarray, part_z: np.ndarray) -> np.ndarray:
+    """[purview, partition]: ``phi`` of every partition ``slots`` lists (see ``search.mip``).
 
-    The pair's part table (``_part_table``) is built once.  The partitions
-    without an empty part cause repertoire are scored together: one stack of
-    their tensor products (``_assemble``), checked like any ``DensityMatrix``
-    and decomposed by that check's one batched ``eigh``, then scored by
-    ``_phi_against``.  The others score +inf.  ``phi`` is the one-row case.
+    All purviews' partitions without an empty part cause repertoire (+inf)
+    are one stack of ``_part_table`` products (``_assemble``), checked like
+    any ``DensityMatrix`` by one batched ``eigh``; ``_phi_against`` scores
+    each purview's slice.  Products of states (each factor was checked or
+    derived from checked states) are states: a purview scored in a round
+    but skipped one at a time fails no check, bar rounding at ``sys.tol``.
     """
-    table, used, empty = _part_table(sys, mechanism, purview, direction, part_m, part_z)
-    values = np.full(len(slots), math.inf)
-    rows = np.flatnonzero(~empty[slots].any(axis=1))
-    if len(rows):
-        w, v = sort_descending(*check_density_matrices(_assemble(table, used, slots[rows]),
+    tables = [_part_table(sys, mechanism, z, direction, part_m, part_z) for z in purviews]
+    table, used, empty = (np.concatenate(arrays) for arrays in zip(*tables))
+    grid = slots + (len(part_m) + 1) * np.arange(len(purviews))[:, np.newaxis, np.newaxis]
+    scored = ~empty[grid].any(axis=2)  # [purview, partition]
+    values = np.full(scored.shape, math.inf)
+    if scored.any():
+        w, v = sort_descending(*check_density_matrices(_assemble(table, used, grid[scored]),
                                                        sys.tol))
-        values[rows] = _phi_against(w, v, eigenstates, sys.tol)
+        ends = np.cumsum(scored.sum(axis=1))[:-1]  # each purview's slice of the stack
+        for j, w_j, v_j in zip(range(len(purviews)), np.split(w, ends), np.split(v, ends)):
+            values[j, scored[j]] = _phi_against(w_j, v_j, eigenstates[j], sys.tol)
     return values
 
 
-def _max_norm_phi(sys: QuantumSystem, mechanism: QuantumMechanism, purview: tuple[int, ...],
-                  direction: Direction, eigenstates: Sequence[tuple[float, np.ndarray]]
-                  ) -> float:
-    """``phi`` of {(-, Z), (M, -)}, the bound ``search.phi_max`` reads, as ``_scores`` took it.
-
-    That partition's product is I/d, entry for entry, and the stored I/d
-    eigensystem equals the one the stack check computes for it.
-    """
-    return _scores(sys, mechanism, direction)[purview][2]
+def _bounds(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction) -> list:
+    """Every purview's (bound, purview, eigenstates) from ``_scores``; 0 and None if empty."""
+    scores = _scores(sys, mechanism, direction)
+    return [(scores[z][2], z, scores[z][1]) if z in scores else (0.0, z, None)
+            for z in search.all_subsets(sys.qubit_range())]
 
 
 def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Direction
@@ -702,7 +702,7 @@ def phi_max(sys: QuantumSystem, mechanism: QuantumMechanism, direction: Directio
     whatever the system's tolerance.
     """
     qubits = _check_mechanism(sys, mechanism)
-    found = search.phi_max(_backend(), sys, mechanism, sys.qubit_range(), direction)
+    found = search.phi_max(_backend(), sys, mechanism, direction)
     if found is None:
         return None
     eigenvalues = tuple(p for p, _ in found.states)

@@ -1,17 +1,14 @@
 """The search both backends run: minimum partition, purview maximization, unfolding.
 
-A backend hands the search a ``Backend`` record: mechanism ``units``,
-``intrinsic_information``, ``score_partitions`` for every partition of a
-(mechanism, purview) pair and ``bound``, the phi of the max-norm partition.
-It builds the record per call, so a replaced module attribute (a tracer, a
-test double) is seen here.  Ties are within the system's one ``sys.tol``.
-
-The purview search visits purviews in descending order of that bound and
-stops once no purview left can change the selection.  The bound is exact:
-for every partition, phi_MIP / norm_MIP <= phi / norm, and the partition
-{(-, Z), (M, -)} has the largest norm, |M| * |Z|, so phi_MIP never exceeds
-its phi, in floating point too (``mip``'s argmin keeps the smaller phi
-among equal ratios).
+A backend hands the search a ``Backend`` record, built per call, so a
+replaced module attribute (a tracer, a test double) is seen here.  Ties are
+within the system's one ``sys.tol``.  The purview search scores purviews in
+rounds of one size, one backend call each, then replays the search that
+visits purviews in descending bound order and stops once none left can
+change the selection.  The bound is exact: for every partition, phi_MIP /
+norm_MIP <= phi / norm, and the partition {(-, Z), (M, -)} has the largest
+norm, |M| * |Z|, so phi_MIP never exceeds its phi, in floating point too
+(the MIP argmin keeps the smaller phi among equal ratios).
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ class Backend(NamedTuple):
     units: Callable  # mechanism -> its units, ascending
     intrinsic_information: Callable  # (sys, mechanism, purview, direction) -> (value, states)
     score_partitions: Callable  # see ``mip``
-    bound: Callable  # see ``phi_max``
+    bounds: Callable  # see ``phi_max``
 
 
 class Selection(NamedTuple):
@@ -59,32 +56,46 @@ def all_subsets(units: Sequence[int]) -> list[Units]:
     return out
 
 
+def _minima(backend: Backend, sys, mechanism, purviews: Sequence[Units], direction: Direction,
+            states: Sequence) -> list[Optional[tuple[int, float]]]:
+    """Each purview's (MIP row, unnormalized phi), None for NaN scores, from one call."""
+    shape = partition_shape(len(backend.units(mechanism)), len(purviews[0]))
+    values = backend.score_partitions(sys, mechanism, list(purviews), direction, list(states),
+                                      shape.slots, shape.part_m, shape.part_z)
+    nan = np.isnan(values).any(axis=1).tolist()  # NaN would order differently than in a sort
+    if all(nan):
+        return [None] * len(nan)
+    # Among the rows of the smallest ratio, argmin keeps the first of the smallest phi.
+    ratio = values / shape.norms
+    rows = np.where(ratio == ratio.min(axis=1, keepdims=True), values, math.inf).argmin(axis=1)
+    return [None if bad else minimum for bad, minimum in
+            zip(nan, zip(rows.tolist(), values[np.arange(len(values)), rows].tolist()))]
+
+
+def _checked(found: Optional[tuple[int, float]], purview: Units) -> tuple[int, float]:
+    if found is None:
+        raise NumericError(f"partition scores of purview {purview} contain NaN")
+    return found
+
+
 def mip(backend: Backend, sys, mechanism, purview: Units, direction: Direction
         ) -> tuple[int, float]:
     """Minimum partition (argmin of phi / severed pairs) and its unnormalized phi.
 
     Ties go to the smaller unnormalized phi, then to canonical enumeration
-    order.  ``backend.score_partitions(sys, mechanism, purview, direction,
-    states, slots, part_m, part_z)`` returns the phi of every partition
-    ``slots`` lists: row ``i`` names partition ``i``'s parts as indices into
-    the position masks ``part_m`` (over the mechanism's units) and ``part_z``
-    (over ``purview``), padded with ``len(part_m)``.  The partition is
-    returned as its row in the pair's ``partition_shape``, unlabeled.
-    Without intrinsic states the first partition scores 0.
+    order.  ``backend.score_partitions(sys, mechanism, purviews, direction,
+    states, slots, part_m, part_z)`` returns [purview, partition], purviews
+    of one size at their intrinsic ``states``: row ``i`` of ``slots`` names
+    partition ``i``'s parts as indices into the position masks ``part_m``
+    (over the mechanism's units) and ``part_z`` (over a purview), padded
+    with ``len(part_m)``.  The partition is returned as its row in the
+    pair's ``partition_shape``, unlabeled.  Without intrinsic states the
+    first partition scores 0.
     """
-    shape = partition_shape(len(backend.units(mechanism)), len(purview))
     _, states = backend.intrinsic_information(sys, mechanism, purview, direction)
     if states is None:
         return 0, 0.0
-    values = backend.score_partitions(sys, mechanism, purview, direction, states, shape.slots,
-                                      shape.part_m, shape.part_z)
-    if np.isnan(values).any():  # NaN would order differently here than in a sort
-        raise NumericError(f"partition scores of purview {purview} contain NaN")
-    # flatnonzero and argmin both keep the lowest index among equals.
-    ratio = values / shape.norms
-    tied = np.flatnonzero(ratio == ratio.min())
-    best = int(tied[np.argmin(values[tied])])
-    return best, float(values[best])
+    return _checked(_minima(backend, sys, mechanism, [purview], direction, [states])[0], purview)
 
 
 def labeled_mip(backend: Backend, sys, mechanism, purview: Units, direction: Direction
@@ -106,45 +117,57 @@ def phi(backend: Backend, sys, mechanism, purview: Units, theta: DisintegratingP
     if intrinsic is None:
         return 0.0
     return float(backend.score_partitions(
-        sys, mechanism, purview, direction, intrinsic if states is None else states,
+        sys, mechanism, [purview], direction, [intrinsic if states is None else states],
         np.arange(theta.k)[np.newaxis],
-        *part_masks(theta.parts, backend.units(mechanism), purview))[0])
+        *part_masks(theta.parts, backend.units(mechanism), purview))[0, 0])
 
 
-def phi_max(backend: Backend, sys, mechanism, candidates: Sequence[int],
-            direction: Direction) -> Optional[Selection]:
-    """Maximally irreducible purview over subsets of ``candidates``, or None.
+def phi_max(backend: Backend, sys, mechanism, direction: Direction) -> Optional[Selection]:
+    """Maximally irreducible purview over the backend's candidate purviews, or None.
 
     Purviews tying within ``sys.tol`` resolve toward the larger purview, then
     the lower units; the others are recorded.  Intrinsic states tying at the
     MIP are all kept.  None when no purview has phi above ``sys.tol``.  Only
     the selected purview's MIP is labeled.
 
-    ``backend.bound(sys, mechanism, purview, direction, states)`` is the phi
-    of {(-, Z), (M, -)} at the intrinsic ``states``, bit for bit the value
-    ``score_partitions`` gives that row; a purview without intrinsic states
-    has bound 0.  ``mip`` runs in descending bound order, ties in subset
-    order.  It stops at the first bound below the best phi found minus
-    ``sys.tol``, where no purview left can win or tie, or not above
-    ``sys.tol`` while the best phi is not either, where none can lift phi
-    above ``sys.tol``.
+    ``backend.bounds(sys, mechanism, direction)`` lists (bound, purview,
+    intrinsic states) in ``all_subsets`` order: the phi of {(-, Z), (M, -)},
+    bit for bit that row of ``score_partitions``, 0 without states (None).
+    In descending bound order (a stable sort), a search ``stops`` at a bound
+    below the best phi minus ``sys.tol`` (no purview left can win or tie),
+    or not above ``sys.tol`` while the best phi is not either.  Rounds score
+    the top-bound purview it does not stop at, then all such purviews of the
+    top one's size per call, until none is left; the search is then
+    replayed over the stored scores.  If Z were the first purview it visits
+    unscored, the rounds' best phi would be at least the search's best b on
+    reaching Z (all before Z are scored, without NaN) and at most max(b, Z's
+    bound) (later ones have phi <= bound <= Z's bound): the rule, which does
+    not stop at Z against b, would not stop at it.
     """
     m_units = backend.units(mechanism)
     if not m_units:
         raise ValidationError("mechanism must be nonempty")
     tol = sys.tol
-    bounds = []
-    for purview in all_subsets(candidates):
-        _, states = backend.intrinsic_information(sys, mechanism, purview, direction)
-        bounds.append((0.0 if states is None else
-                       backend.bound(sys, mechanism, purview, direction, states), purview))
-    bounds.sort(key=lambda pair: -pair[0])  # stable
+
+    def stops(top: float, best: float) -> bool:
+        return top < best - tol or max(top, best) <= tol
+
+    order = sorted(backend.bounds(sys, mechanism, direction), key=lambda entry: -entry[0])
+    found: dict = {}  # purview -> ``_minima`` entry
+    best = -math.inf
+    while open_ := [(z, s) for top, z, s in order
+                    if z not in found and s is not None and not stops(top, best)]:
+        group = open_[:1] if not found else [e for e in open_ if len(e[0]) == len(open_[0][0])]
+        purviews, states = zip(*group)
+        found.update(zip(purviews, _minima(backend, sys, mechanism, purviews, direction, states)))
+        best = max([best, *(m[1] for m in found.values() if m is not None)])
+
     per_purview: dict = {}
     best_phi = -math.inf
-    for top, purview in bounds:
-        if top < best_phi - tol or max(top, best_phi) <= tol:
+    for top, purview, states in order:
+        if stops(top, best_phi):
             break
-        per_purview[purview] = mip(backend, sys, mechanism, purview, direction)
+        per_purview[purview] = (0, 0.0) if states is None else _checked(found[purview], purview)
         best_phi = max(best_phi, per_purview[purview][1])
     if not best_phi > tol:
         return None

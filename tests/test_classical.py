@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import COPY_XOR_TPM, CountingMemo, random_ci_tpm
+from mechphi import classical as cl
 from mechphi import search
 from mechphi.classical import (
     ClassicalSystem,
@@ -411,8 +412,9 @@ class TestSelectionMemo:
         """Each (mechanism, direction) is searched once per system."""
         sys = ClassicalSystem([2, 2, 3], random_ci_tpm(np.random.default_rng(5), [2, 2, 3]))
         calls = []
-        search_mip = search.mip
-        monkeypatch.setattr(search, "mip", lambda *args: calls.append(args) or search_mip(*args))
+        score = cl._score_partitions
+        monkeypatch.setattr(cl, "_score_partitions",
+                            lambda *args: calls.append(args) or score(*args))
         first = unfold(sys, state_t=(1, 0, 2), state_t1=(0, 1, 1))
         assert first and calls
         calls.clear()

@@ -41,6 +41,7 @@ import weakref
 from collections import Counter
 from functools import reduce
 from itertools import product
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -1066,13 +1067,13 @@ def test_search_reads_replaced_backend_attributes(backend, monkeypatch):
         system = qm.QuantumSystem(CNOT)
         mech = system.mechanism((0, 1), pure([0, 0, 1, 0]))
     calls = Counter()
-    for name in ("intrinsic_information", "_score_partitions", "_max_norm_phi"):
+    for name in ("intrinsic_information", "_score_partitions", "_bounds"):
         def counted(*args, name=name, original=getattr(backend, name)):
             calls[name] += 1
             return original(*args)
         monkeypatch.setattr(backend, name, counted)
     assert backend.phi_max(system, mech, "effect") is not None
-    assert set(calls) == {"intrinsic_information", "_score_partitions", "_max_norm_phi"}
+    assert set(calls) == {"intrinsic_information", "_score_partitions", "_bounds"}
 
 
 @pytest.mark.parametrize("part, message", [
@@ -1162,25 +1163,31 @@ def max_norm_row(m_units, purview) -> int:
     return enumerate_disintegrating(m_units, purview).index(theta)
 
 
+def assert_same_selection(got, want, where):
+    assert (got is None) == (want is None), where
+    if got is not None:
+        assert same_states(got.states, want.states), where
+        assert got._replace(states=None) == want._replace(states=None), where
+
+
 def assert_search_matches_oracle(system, state):
     """Every selection equals the oracle's; every bound equals its row, and bounds phi_MIP."""
     for backend, mech, m_units, candidates, direction in mechanisms_of(system, state):
         where = (direction, m_units)
         args = (system, mech, m_units, candidates, direction)
-        got = search.phi_max(backend._backend(), system, mech, candidates, direction)
+        got = search.phi_max(backend._backend(), system, mech, direction)
         want = oracle_phi_max(*args, backend.mip, backend.intrinsic_information, backend.phi)
-        assert (got is None) == (want is None), where
-        if got is not None:
-            assert same_states(got.states, want.states), where
-            assert got._replace(states=None) == want._replace(states=None), where
-        for purview in all_subsets(candidates):
-            _, states = backend.intrinsic_information(system, mech, purview, direction)
+        assert_same_selection(got, want, where)
+        bounds = backend._bounds(system, mech, direction)
+        assert [z for _, z, _ in bounds] == all_subsets(candidates)
+        for bound, purview, states in bounds:
+            assert states == backend.intrinsic_information(system, mech, purview, direction)[1]
             if states is None:
+                assert bound == 0.0
                 continue
             shape = partition_shape(len(m_units), len(purview))
-            row = backend._score_partitions(system, mech, purview, direction, states,
-                                            shape.slots, shape.part_m, shape.part_z)
-            bound = backend._max_norm_phi(system, mech, purview, direction, states)
+            row = backend._score_partitions(system, mech, [purview], direction, [states],
+                                            shape.slots, shape.part_m, shape.part_z)[0]
             assert bound == row[max_norm_row(m_units, purview)], (where, purview)
             assert backend.mip(system, mech, purview, direction)[1] <= bound
 
@@ -1230,6 +1237,258 @@ def three_qubit_cases():
 @pytest.mark.parametrize("system, rho", [*three_qubit_cases()])
 def test_search_matches_every_purview_oracle_on_three_qubits(system, rho):
     assert_search_matches_oracle(system, rho)
+
+
+# -- purview rounds ---------------------------------------------------------
+
+
+def one_at_a_time_phi_max(backend, sys, mechanism, direction):
+    """``search.phi_max`` as last written: one ``search.mip`` per purview, in bound order.
+
+    Returns the selection, the purviews it scored and the best phi it found.
+    """
+    m_units = backend.units(mechanism)
+    bounds = sorted(((top, z) for top, z, _ in backend.bounds(sys, mechanism, direction)),
+                    key=lambda pair: -pair[0])
+    per_purview: dict = {}
+    best_phi = -math.inf
+    for top, purview in bounds:
+        if top < best_phi - sys.tol or max(top, best_phi) <= sys.tol:
+            break
+        per_purview[purview] = search.mip(backend, sys, mechanism, purview, direction)
+        best_phi = max(best_phi, per_purview[purview][1])
+    if not best_phi > sys.tol:
+        return None, set(per_purview), best_phi
+    tied = [z for z, (_, v) in per_purview.items() if v >= best_phi - sys.tol]
+    tied.sort(key=lambda z: (-len(z), z))
+    selected = tied[0]
+    row, value = per_purview[selected]
+    theta = partition_shape(len(m_units), len(selected)).partition(row, m_units, selected)
+    _, states = backend.intrinsic_information(sys, mechanism, selected, direction)
+    if len(states) > 1:
+        scored = [(search.phi(backend, sys, mechanism, selected, theta, direction, [s]), s)
+                  for s in states]
+        top = max(v for v, _ in scored)
+        states = [s for v, s in scored if v >= top - sys.tol]
+    selection = search.Selection(selected, list(states), max(value, 0.0), theta,
+                                 normalization(theta, m_units, selected), tuple(tied[1:]))
+    return selection, set(per_purview), best_phi
+
+
+def recording(backend, scored):
+    """``backend`` with every purview passed to ``score_partitions`` appended to ``scored``."""
+    def score_partitions(*args):
+        scored.extend(args[2])
+        return backend.score_partitions(*args)
+    return backend._replace(score_partitions=score_partitions)
+
+
+def assert_rounds_match_one_at_a_time(system, state):
+    """The rounds select what one purview at a time selects, and score only what can't win."""
+    for backend, mech, m_units, _, direction in mechanisms_of(system, state):
+        where = (direction, m_units)
+        scored: list = []
+        got = search.phi_max(recording(backend._backend(), scored), system, mech, direction)
+        want, visited, best = one_at_a_time_phi_max(backend._backend(), system, mech, direction)
+        assert_same_selection(got, want, where)
+        assert visited <= set(scored), where
+        bounds = {z: top for top, z, _ in backend._bounds(system, mech, direction)}
+        assert all(bounds[z] < best - system.tol for z in set(scored) - visited), where
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("tolerance", [cl.DEFAULT_TOL, 0.25])
+@pytest.mark.parametrize("name", example_names())
+def test_rounds_match_one_at_a_time_on_the_catalog(name, tolerance):
+    assert_rounds_match_one_at_a_time(*catalog_case(name, tolerance))
+
+
+@pytest.mark.parametrize("counts, background", [
+    pytest.param([2] * 4, None, id="binary-4"),
+    pytest.param([2] * 5, None, id="binary-5"),
+    pytest.param([2, 2, 3], None, id="mix-223"),
+    pytest.param([2, 3, 3], None, id="mix-233"),
+    pytest.param([2, 3, 2, 2], ((1,), (2,)), id="background"),
+])
+@pytest.mark.parametrize("seed", [20230105, 48271])
+def test_rounds_match_one_at_a_time_on_seeded_networks(counts, background, seed):
+    rng = np.random.default_rng([seed, len(counts)])
+    system = cl.ClassicalSystem(counts, random_ci_tpm(rng, counts), background=background)
+    state_t, state_t1 = ([int(rng.integers(c)) for c in counts] for _ in range(2))
+    for u, v in zip(*(background or ((), ()))):
+        state_t[u] = state_t1[u] = v
+    assert_rounds_match_one_at_a_time(system, (tuple(state_t), tuple(state_t1)))
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("system, rho", [*three_qubit_cases()])
+def test_rounds_match_one_at_a_time_on_three_qubits(system, rho):
+    assert_rounds_match_one_at_a_time(system, rho)
+
+
+def test_rounds_keep_the_one_at_a_time_errors():
+    """A NaN score in a purview scored in a round but never reached one at a time raises nothing.
+
+    (0, 1) is scored alone first (phi 1); then every size-1 purview is open,
+    (2,) included, whose scores are NaN.  Once (0,) scores 2.5, one purview
+    at a time stops before (2,).
+    """
+    system, mech = SimpleNamespace(tol=1e-9), SimpleNamespace(units=(0,))
+    bound = {(0, 1): 5.0, (0,): 3.0, (1,): 2.9, (2,): 1.0}
+    phi = {(0, 1): 1.0, (0,): 2.5, (1,): 0.5, (2,): math.nan}
+    backend = search.Backend(
+        attrgetter("units"), lambda *args: (1.0, (0,)),
+        lambda sys, mechanism, purviews, direction, states, slots, *masks: np.array(
+            [[phi.get(z, 0.5)] * len(slots) for z in purviews]),
+        lambda *args: [(bound.get(z, 0.5), z, (0,)) for z in all_subsets((0, 1, 2))])
+    scored: list = []
+    got = search.phi_max(recording(backend, scored), system, mech, "effect")
+    want, visited, _ = one_at_a_time_phi_max(backend, system, mech, "effect")
+    assert got == want and got.purview == (0,) and got.phi == 2.5
+    assert (2,) in scored and (2,) not in visited
+    with pytest.raises(NumericError, match=r"purview \(2,\)"):
+        search.mip(backend, system, mech, (2,), "effect")
+
+
+def assert_groups_match_single_purviews(module, system, mech, direction):
+    """``score_partitions`` of each size's purviews equals one call per purview, by bytes.
+
+    Returns the rows of every group, stacked.
+    """
+    backend = module._backend()
+    entries = [(z, states) for _, z, states in backend.bounds(system, mech, direction)
+               if states is not None]
+    rows = []
+    for size in sorted({len(z) for z, _ in entries}):
+        purviews, states = zip(*[(z, s) for z, s in entries if len(z) == size])
+        shape = partition_shape(len(backend.units(mech)), size)
+        masks = shape.slots, shape.part_m, shape.part_z
+        group = backend.score_partitions(system, mech, list(purviews), direction, list(states),
+                                         *masks)
+        assert group.shape == (len(purviews), len(shape.slots))
+        for z, z_states, row in zip(purviews, states, group):
+            alone = backend.score_partitions(system, mech, [z], direction, [z_states], *masks)
+            assert row.tobytes() == alone[0].tobytes(), (direction, z)
+        rows.extend(group)
+    return rows
+
+
+def test_classical_groups_match_single_purviews():
+    """Also where a purview has no intrinsic state in the support (at a wide tolerance)."""
+    counts, tol = [2, 2, 3], 0.3
+    system = cl.ClassicalSystem(counts, random_ci_tpm(np.random.default_rng(0), counts), tol=tol)
+    state, unsupported = (1, 0, 2), 0
+    layout = cl._layout(system)
+    for units in all_subsets(system.candidate_units):
+        for direction in ("effect", "cause"):
+            mech = cl.Mechanism(units, system.state_of(state, units))
+            assert_groups_match_single_purviews(cl, system, mech, direction)
+            p = cl._table(system, mech, direction).probabilities
+            for _, z, states in cl._bounds(system, mech, direction):
+                start = layout.spans[layout.index[z]].start
+                unsupported += all(p[start + s] <= tol for s in states)
+    assert unsupported
+
+
+def test_classical_groups_match_single_purviews_with_an_empty_part(monkeypatch):
+    """Unit 1's cause repertoires are emptied, as in the classical empty-part test."""
+    system = conflicting_noisy_copies(eps=0.1)
+    table = cl._table
+
+    def without_unit_1(sys, mechanism, direction):
+        got = table(sys, mechanism, direction)
+        if mechanism.units == (1,) and direction == "cause":
+            return cl._Table(np.full(len(got.probabilities), math.nan),
+                             [(0.0, None)] * len(got.ii), [0.0] * len(got.bounds))
+        return got
+
+    monkeypatch.setattr(cl, "_table", without_unit_1)
+    rows = assert_groups_match_single_purviews(cl, system, cl.Mechanism((0, 1), (1, 0)), "cause")
+    assert any(np.isinf(row).any() and np.isfinite(row).any() for row in rows)
+
+
+def test_an_empty_part_scores_infinite_without_a_state_in_the_support(monkeypatch):
+    """At states outside p's support only the partitions with an empty part score above 0."""
+    system = cl.ClassicalSystem([2, 2], conflicting_noisy_copies(eps=0.1).tpm, tol=0.45)
+    mech = cl.Mechanism((0, 1), (1, 0))
+    p = cl.cause_repertoire(system, mech, (0,)).probabilities
+    outside = [s for s in range(len(p)) if p[s] <= system.tol]
+    table = cl._table
+
+    def without_unit_1(sys, mechanism, direction):
+        got = table(sys, mechanism, direction)
+        if mechanism.units == (1,) and direction == "cause":
+            return cl._Table(np.full(len(got.probabilities), math.nan),
+                             [(0.0, None)] * len(got.ii), [0.0] * len(got.bounds))
+        return got
+
+    monkeypatch.setattr(cl, "_table", without_unit_1)
+    assert outside
+    for theta in enumerate_disintegrating((0, 1), (0,)):
+        empty = any(m == (1,) and z for m, z in theta.parts)
+        assert cl.phi(system, mech, (0,), theta, "cause", outside) == (math.inf if empty else 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:cause repertoire blocks do not commute",
+                            "ignore:symmetrized cause repertoire not PSD")
+@pytest.mark.parametrize("system, rho", [*three_qubit_cases()])
+def test_quantum_groups_match_single_purviews(system, rho):
+    for _, mech, _, _, direction in mechanisms_of(system, rho):
+        assert_groups_match_single_purviews(qm, system, mech, direction)
+
+
+def test_quantum_groups_match_single_purviews_with_an_empty_part(monkeypatch):
+    """Qubit 0's cause repertoires are emptied, as in the quantum empty-part test."""
+    system = qm.QuantumSystem(CNOT)
+    mech = system.mechanism((0, 1), qm.apply_unitary(system.unitary, pure([0, 0, 1, 0])))
+    cause_repertoire = qm.cause_repertoire
+
+    def without_qubit_0(sys, mechanism, purview):
+        if mechanism.qubits == (0,):
+            return None
+        return cause_repertoire(sys, mechanism, purview)
+
+    monkeypatch.setattr(qm, "cause_repertoire", without_qubit_0)
+    rows = assert_groups_match_single_purviews(qm, system, mech, "cause")
+    assert any(np.isinf(row).any() and np.isfinite(row).any() for row in rows)
+
+
+def ghz_identity_case():
+    request = parse_request(example_request("ghz-identity"))
+    return qm, request.system, request.rho_t
+
+
+def binary_4_case():
+    rng = np.random.default_rng([20230105, 4])
+    system = cl.ClassicalSystem([2] * 4, random_ci_tpm(rng, [2] * 4))
+    return cl, system, tuple(tuple(int(v) for v in rng.integers(0, 2, 4)) for _ in range(2))
+
+
+@pytest.mark.parametrize("case", [ghz_identity_case, binary_4_case],
+                         ids=["ghz-identity", "binary-4"])
+def test_each_search_makes_one_call_per_round(case, monkeypatch):
+    """At most 1 + (distinct sizes scored) ``score_partitions`` calls per ``phi_max``.
+
+    Calls that re-score the selection's tied states, one ``phi`` each, are
+    not rounds and are counted apart.
+    """
+    module, system, state = case()
+    calls, phi_calls = [], []
+    score, search_phi = module._score_partitions, search.phi
+    monkeypatch.setattr(module, "_score_partitions",
+                        lambda *args: calls.append(args[2]) or score(*args))
+    monkeypatch.setattr(search, "phi", lambda *args: phi_calls.append(args) or search_phi(*args))
+    rounds = 0
+    for _, mech, m_units, _, direction in mechanisms_of(system, state):
+        calls.clear()
+        phi_calls.clear()
+        search.phi_max(module._backend(), system, mech, direction)
+        sizes = {len(z) for purviews in calls for z in purviews}
+        assert len(calls) - len(phi_calls) <= 1 + len(sizes), (direction, m_units)
+        rounds += len(calls) - len(phi_calls)
+    assert rounds
 
 
 # -- quantum purview tables --------------------------------------------------
@@ -1386,18 +1645,22 @@ def test_search_skips_purviews_and_rescores_only_tied_states(monkeypatch):
     """Fewer MIPs than purviews; ``phi`` re-scores only a selection with several states."""
     request = parse_request(example_request("ghz-identity"))
     system = request.system
-    mip_calls, phi_calls, purviews = [], [], 0
-    search_mip, search_phi = search.mip, search.phi
-    monkeypatch.setattr(search, "mip", lambda *args: mip_calls.append(args) or search_mip(*args))
+    score_calls, phi_calls, mips, purviews = [], [], 0, 0
+    score, search_phi = qm._score_partitions, search.phi
+    monkeypatch.setattr(qm, "_score_partitions",
+                        lambda *args: score_calls.append(args) or score(*args))
     monkeypatch.setattr(search, "phi", lambda *args: phi_calls.append(args) or search_phi(*args))
     for backend, mech, m_units, candidates, direction in mechanisms_of(system, request.rho_t):
+        score_calls.clear()
         phi_calls.clear()
-        found = search.phi_max(qm._backend(), system, mech, candidates, direction)
+        found = search.phi_max(qm._backend(), system, mech, direction)
         purviews += len(all_subsets(candidates))
+        # each re-scored state is one one-purview call
+        mips += sum(len(args[2]) for args in score_calls) - len(phi_calls)
         if found is not None:
             _, states = qm.intrinsic_information(system, mech, found.purview, direction)
             assert len(phi_calls) == (0 if len(states) == 1 else len(states))
-    assert 0 < len(mip_calls) < purviews
+    assert 0 < mips < purviews
 
 
 def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
@@ -1408,7 +1671,7 @@ def test_mip_argmin_keeps_the_lexsort_tie_rule(copy_xor):
     for _ in range(200):
         values = rng.choice([0.0, 0.5, 1.0, 2.0, math.inf], size=len(shape.slots))
         backend = search.Backend(lambda m: m.units, lambda *args: (1.0, (0,)),
-                                 lambda *args: values.copy(), None)
+                                 lambda *args: values[np.newaxis].copy(), None)
         row, value = search.mip(backend, copy_xor, mech, (0, 1), "effect")
         best = int(np.lexsort((values, values / shape.norms))[0])
         assert row == best and value == values[best]
@@ -1418,5 +1681,5 @@ def test_mip_rejects_nan_scores(copy_xor):
     mech = cl.Mechanism((0, 1), (1, 0))
     with pytest.raises(NumericError, match="NaN"):
         search.mip(search.Backend(lambda m: m.units, lambda *args: (1.0, (0,)),
-                                  lambda *args: np.array([0.5, math.nan, 1.0]), None),
+                                  lambda *args: np.array([[0.5, math.nan, 1.0]]), None),
                    copy_xor, mech, (0,), "effect")
